@@ -21,7 +21,8 @@ and under the forced pure-twin backend.
 
 import numpy as np
 import pytest
-from test_kernel_identity import _make_policy, _oracle_configs
+from golden_oracle import POLICY_CONFIGS
+from golden_oracle import make_policy as _make_policy
 
 from repro.backend import (
     ENV_BACKEND,
@@ -53,7 +54,7 @@ def _run(small_sut, policy, kwargs, benchmark_set, load, backend):
 
 @pytest.mark.parametrize(
     "policy,kwargs,benchmark_set,load",
-    _oracle_configs(),
+    POLICY_CONFIGS,
     ids=lambda value: getattr(
         value, "value", str(value).replace(" ", "")
     ),
@@ -78,7 +79,7 @@ def test_pure_twin_backend_is_bit_identical(
 
 def test_env_backend_forced_numpy_is_identical(small_sut, monkeypatch):
     """REPRO_BACKEND=numpy resolves to the default backend bit-for-bit."""
-    policy, kwargs, benchmark_set, load = _oracle_configs()[0]
+    policy, kwargs, benchmark_set, load = POLICY_CONFIGS[0]
     baseline = _run(
         small_sut, policy, kwargs, benchmark_set, load, backend=None
     )

@@ -7,77 +7,46 @@ the scheduler view).  Its cardinal contract is that a run with an
 fully installed but with nothing to inject — reproduces the exact
 float trajectory of a run with no fault machinery at all.
 
-This suite pins that contract over a 19-configuration oracle spanning
-every registered scheduler, every benchmark set and the load extremes,
-comparing full content fingerprints (every metric array, scalar and
-completion record; see :mod:`repro.sim.fingerprint`).
+This suite pins that contract over the 19 scheduler points of
+:data:`golden_oracle.SCHEDULER_CONFIGS` — every registered scheduler,
+every benchmark set and the load extremes — comparing full content
+fingerprints (every metric array, scalar and completion record; see
+:mod:`repro.sim.fingerprint`) against the committed goldens of the
+fault-free runs.
 """
 
 import pytest
+from golden_oracle import SCHEDULER_CONFIGS, golden, run_point, scheduler_id
 
-from repro.config.presets import smoke
-from repro.core import all_scheduler_names, get_scheduler
+from repro.core import get_scheduler
 from repro.faults import FaultSchedule
 from repro.sim.fingerprint import result_fingerprint
-from repro.sim.runner import run_once
-from repro.workloads.benchmark import BenchmarkSet
-
-
-def _oracle_configs():
-    """The 19 (scheduler, benchmark set, load) oracle configurations.
-
-    Every registered scheduler at the midpoint load, plus CF across
-    every benchmark set at both load extremes — coverage of all policy
-    code paths and all workload mixes.
-    """
-    configs = [
-        (name, BenchmarkSet.COMPUTATION, 0.5)
-        for name in all_scheduler_names()
-    ]
-    for benchmark_set in (
-        BenchmarkSet.COMPUTATION,
-        BenchmarkSet.GENERAL_PURPOSE,
-        BenchmarkSet.STORAGE,
-    ):
-        for load in (0.3, 0.9):
-            configs.append(("CF", benchmark_set, load))
-    return configs
 
 
 def test_oracle_covers_nineteen_configs():
-    assert len(_oracle_configs()) == 19
+    assert len(SCHEDULER_CONFIGS) == 19
 
 
 @pytest.mark.parametrize(
     "scheme,benchmark_set,load",
-    _oracle_configs(),
+    SCHEDULER_CONFIGS,
     ids=lambda value: getattr(value, "value", value),
 )
 def test_empty_schedule_is_bit_identical(
     small_sut, scheme, benchmark_set, load
 ):
-    params = smoke(seed=4)
-    bare = run_once(
+    inert = run_point(
         small_sut,
-        params,
-        get_scheduler(scheme),
-        benchmark_set,
-        load,
-    )
-    inert = run_once(
-        small_sut,
-        params,
         get_scheduler(scheme),
         benchmark_set,
         load,
         fault_schedule=FaultSchedule(),
     )
     # The machinery ran (it attaches its inert summary)...
-    assert bare.fault_summary is None
     assert inert.fault_summary is not None
     assert inert.fault_summary["n_events"] == 0
     assert inert.fault_summary["n_trips"] == 0
-    # ...but the trajectory is untouched, to the last bit.
+    # ...but the trajectory is the fault-free one, to the last bit.
     assert result_fingerprint(
-        bare, include_fault_summary=False
-    ) == result_fingerprint(inert, include_fault_summary=False)
+        inert, include_fault_summary=False
+    ) == golden(scheduler_id(scheme, benchmark_set, load))

@@ -9,17 +9,25 @@ implementation in-tree (``use_kernel=False``,
 ``DetailedChipModel.solve_via_network``), and this suite pins the
 cardinal contract: kernel and reference produce the *same bits*.
 
-The run-level oracle spans 19 (policy configuration, benchmark set,
-load) combinations — both predictive policies, full-search and
-row-restricted CP, the coupling-ablated CP, all benchmark sets, and
-the load extremes — comparing full content fingerprints.  Below that,
-function-level probes assert equality inside live scheduling decisions
-(batched powers, batched downwind losses against a cold *and* a warm
-per-step frequency cache).
+The run-level oracle spans the 19 policy points of
+:data:`golden_oracle.POLICY_CONFIGS` — both predictive policies,
+full-search and row-restricted CP, the coupling-ablated CP, all
+benchmark sets, and the load extremes — and asserts that both the
+kernel and the scalar run reproduce the committed golden fingerprint.
+Below that, function-level probes assert equality inside live
+scheduling decisions (batched powers, batched downwind losses against
+a cold *and* a warm per-step frequency cache).
 """
 
 import numpy as np
 import pytest
+from golden_oracle import (
+    POLICY_CONFIGS,
+    golden,
+    make_policy,
+    policy_id,
+    run_point,
+)
 
 from repro.config.presets import smoke
 from repro.core.coupling_predictor import CouplingPredictor
@@ -33,53 +41,19 @@ from repro.core.prediction import (
 from repro.core.predictive import Predictive
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
-from repro.sim.runner import run_once
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.benchmark import BenchmarkSet
 
 COMPUTATION = BenchmarkSet.COMPUTATION
-GENERAL = BenchmarkSet.GENERAL_PURPOSE
-STORAGE = BenchmarkSet.STORAGE
-
-
-def _oracle_configs():
-    """The 19 (policy kwargs, benchmark set, load) configurations.
-
-    Default CP over every set and three loads, full-search CP and the
-    coupling ablation over the load range, and Predictive across sets
-    and extremes — every kernel code path under every workload mix.
-    """
-    configs = []
-    for benchmark_set in (COMPUTATION, GENERAL, STORAGE):
-        for load in (0.3, 0.5, 0.9):
-            configs.append(("CP", {}, benchmark_set, load))
-    for load in (0.3, 0.5, 0.9):
-        configs.append(
-            ("CP", {"row_restricted": False}, COMPUTATION, load)
-        )
-    for load in (0.3, 0.9):
-        configs.append(
-            ("CP", {"coupling_aware": False}, COMPUTATION, load)
-        )
-    for benchmark_set in (COMPUTATION, GENERAL, STORAGE):
-        configs.append(("Predictive", {}, benchmark_set, 0.5))
-    for load in (0.3, 0.9):
-        configs.append(("Predictive", {}, COMPUTATION, load))
-    return configs
-
-
-def _make_policy(policy, kwargs, use_kernel):
-    cls = {"CP": CouplingPredictor, "Predictive": Predictive}[policy]
-    return cls(use_kernel=use_kernel, **kwargs)
 
 
 def test_oracle_covers_nineteen_configs():
-    assert len(_oracle_configs()) == 19
+    assert len(POLICY_CONFIGS) == 19
 
 
 @pytest.mark.parametrize(
     "policy,kwargs,benchmark_set,load",
-    _oracle_configs(),
+    POLICY_CONFIGS,
     ids=lambda value: getattr(
         value, "value", str(value).replace(" ", "")
     ),
@@ -87,22 +61,15 @@ def test_oracle_covers_nineteen_configs():
 def test_kernel_runs_are_bit_identical(
     small_sut, policy, kwargs, benchmark_set, load
 ):
-    params = smoke(seed=4)
-    kernel = run_once(
-        small_sut,
-        params,
-        _make_policy(policy, kwargs, use_kernel=True),
-        benchmark_set,
-        load,
-    )
-    scalar = run_once(
-        small_sut,
-        params,
-        _make_policy(policy, kwargs, use_kernel=False),
-        benchmark_set,
-        load,
-    )
-    assert result_fingerprint(kernel) == result_fingerprint(scalar)
+    expected = golden(policy_id(policy, kwargs, benchmark_set, load))
+    for use_kernel in (True, False):
+        result = run_point(
+            small_sut,
+            make_policy(policy, kwargs, use_kernel=use_kernel),
+            benchmark_set,
+            load,
+        )
+        assert result_fingerprint(result) == expected, use_kernel
 
 
 class _ProbingCP(CouplingPredictor):

@@ -6,62 +6,39 @@ threaded through placement, DVFS, thermals and faults).  Its cardinal
 contract is that a run with telemetry *and* profiling fully enabled
 reproduces the exact float trajectory of a bare run.
 
-This suite pins that contract over the same 19-configuration oracle as
-``test_fault_free_identity`` — every registered scheduler, every
-benchmark set and the load extremes — comparing full content
-fingerprints.
+This suite pins that contract over the same 19 scheduler points as
+``test_fault_free_identity`` (:data:`golden_oracle.SCHEDULER_CONFIGS`)
+— every registered scheduler, every benchmark set and the load
+extremes — comparing full content fingerprints against the committed
+goldens of the bare runs.
 """
 
 import pytest
+from golden_oracle import SCHEDULER_CONFIGS, golden, run_point, scheduler_id
 
 from repro.config.presets import smoke
-from repro.core import all_scheduler_names, get_scheduler
+from repro.core import get_scheduler
 from repro.obs.session import TelemetryConfig
 from repro.obs.writer import read_events
-from repro.sim.fingerprint import result_fingerprint
 from repro.sim.runner import run_once
+from repro.sim.fingerprint import result_fingerprint
 from repro.workloads.benchmark import BenchmarkSet
 
 
-def _oracle_configs():
-    """The 19 (scheduler, benchmark set, load) oracle configurations."""
-    configs = [
-        (name, BenchmarkSet.COMPUTATION, 0.5)
-        for name in all_scheduler_names()
-    ]
-    for benchmark_set in (
-        BenchmarkSet.COMPUTATION,
-        BenchmarkSet.GENERAL_PURPOSE,
-        BenchmarkSet.STORAGE,
-    ):
-        for load in (0.3, 0.9):
-            configs.append(("CF", benchmark_set, load))
-    return configs
-
-
 def test_oracle_covers_nineteen_configs():
-    assert len(_oracle_configs()) == 19
+    assert len(SCHEDULER_CONFIGS) == 19
 
 
 @pytest.mark.parametrize(
     "scheme,benchmark_set,load",
-    _oracle_configs(),
+    SCHEDULER_CONFIGS,
     ids=lambda value: getattr(value, "value", value),
 )
 def test_telemetry_run_is_bit_identical(
     tmp_path, small_sut, scheme, benchmark_set, load
 ):
-    params = smoke(seed=4)
-    bare = run_once(
+    observed = run_point(
         small_sut,
-        params,
-        get_scheduler(scheme),
-        benchmark_set,
-        load,
-    )
-    observed = run_once(
-        small_sut,
-        params,
         get_scheduler(scheme),
         benchmark_set,
         load,
@@ -73,11 +50,12 @@ def test_telemetry_run_is_bit_identical(
     )
     assert events[0]["type"] == "run_start"
     assert events[-1]["type"] == "run_end"
-    assert bare.profile is None
     assert observed.profile is not None
     assert observed.profile.n_steps > 0
-    # ...but the trajectory is untouched, to the last bit.
-    assert result_fingerprint(bare) == result_fingerprint(observed)
+    # ...but the trajectory is the bare one, to the last bit.
+    assert result_fingerprint(observed) == golden(
+        scheduler_id(scheme, benchmark_set, load)
+    )
 
 
 def test_two_telemetry_runs_write_identical_bytes(tmp_path, small_sut):

@@ -194,6 +194,17 @@ class TestConfigKey:
         )
         assert base != other
 
+    def test_default_key_is_pinned(self, small_sut):
+        """Cache and checkpoint keys written by earlier builds still
+        resolve: the default-path key of one point is a committed
+        digest, not one recomputed by the code under test."""
+        key = config_key(
+            small_sut, smoke(seed=4), "CF", BenchmarkSet.COMPUTATION, 0.5
+        )
+        assert key == (
+            "41cf95b2ed847977caa08e70446b5362cccb5f964e90d29dca90706c7384182f"
+        )
+
     def test_topology_token_sensitive_to_geometry(self, small_sut):
         from repro.server.topology import moonshot_sut
 
