@@ -63,10 +63,6 @@ def _cmd_run(args) -> int:
         from .obs.session import ENV_PROFILE
 
         os.environ[ENV_PROFILE] = "1"
-    if args.stepping is not None:
-        from .experiments.common import ENV_STEPPING
-
-        os.environ[ENV_STEPPING] = args.stepping
     if args.backend is not None:
         from .backend import ENV_BACKEND
 
@@ -131,13 +127,6 @@ def _cmd_sweep(args) -> int:
         from .obs.session import TelemetryConfig
 
         telemetry = TelemetryConfig.from_env()
-    stepping = args.stepping
-    if stepping is None:
-        import os
-
-        from .experiments.common import ENV_STEPPING
-
-        stepping = os.environ.get(ENV_STEPPING) or "fixed"
     backend = args.backend
     if backend is None:
         import os
@@ -157,7 +146,6 @@ def _cmd_sweep(args) -> int:
         checkpoint_dir=args.resume,
         telemetry=telemetry,
         profile=args.profile or profile_from_env(),
-        stepping=stepping,
         backend=backend,
     )
     if args.csv:
@@ -452,18 +440,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
             "account per-component wall-clock for every simulation "
             "(<2%% overhead) and attach the profile table to results "
             "and manifests (also: REPRO_PROFILE=1)"
-        ),
-    )
-    parser.add_argument(
-        "--stepping",
-        choices=["fixed", "adaptive"],
-        default=None,
-        help=(
-            "engine stepping mode: 'fixed' ticks every millisecond; "
-            "'adaptive' skips decision-free stretches with an exact "
-            "closed-form thermal advance — all scheduling decisions "
-            "stay bit-identical, temperature traces carry a bounded "
-            "error (also: REPRO_STEPPING)"
         ),
     )
     parser.add_argument(

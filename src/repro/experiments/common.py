@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import ClassVar, Dict, Sequence, Tuple
 
 from ..backend import ENV_BACKEND
 from ..config.parameters import SimulationParameters
@@ -26,10 +26,6 @@ ENV_WORKERS = "REPRO_WORKERS"
 #: Environment variable enabling runtime invariant auditing (any
 #: non-empty value other than "0").
 ENV_AUDIT = "REPRO_AUDIT"
-
-#: Environment variable selecting the engine stepping mode
-#: ("fixed" or "adaptive").
-ENV_STEPPING = "REPRO_STEPPING"
 
 #: ``ENV_BACKEND`` ("REPRO_BACKEND") selects the array backend; it is
 #: imported from :mod:`repro.backend` above and honoured here so
@@ -61,10 +57,6 @@ class ExperimentConfig:
             disables; also settable via ``REPRO_TELEMETRY``).
         profile: Attach per-component wall-clock profiles to results
             (also settable via ``REPRO_PROFILE``).
-        stepping: Engine stepping mode for every simulation:
-            ``"fixed"`` (default) or ``"adaptive"`` multi-rate
-            stepping (also settable via ``REPRO_STEPPING``; see
-            :class:`~repro.sim.multirate.MultiRateEngine`).
         backend: Array backend name for the seam-managed kernels:
             ``"numpy"`` (default, bit-identical to the pre-seam
             engine) or ``"jax"`` (also settable via
@@ -85,8 +77,10 @@ class ExperimentConfig:
     audit: bool = False
     telemetry_dir: "str | None" = None
     profile: bool = False
-    stepping: str = "fixed"
     backend: str = "numpy"
+
+    #: Exists only for callers that pass it on to ``run_sweep``.
+    stepping: ClassVar[str] = "fixed"
 
     def __post_init__(self) -> None:
         from ..obs.session import ENV_TELEMETRY, profile_from_env
@@ -109,16 +103,6 @@ class ExperimentConfig:
             self.telemetry_dir = env_telemetry
         if profile_from_env():
             self.profile = True
-        env_stepping = os.environ.get(ENV_STEPPING)
-        if env_stepping:
-            self.stepping = env_stepping
-        from ..sim.multirate import STEPPING_MODES
-
-        if self.stepping not in STEPPING_MODES:
-            raise ConfigurationError(
-                f"stepping must be one of {STEPPING_MODES}, got "
-                f"{self.stepping!r}"
-            )
         env_backend = os.environ.get(ENV_BACKEND)
         if env_backend and self.backend == "numpy":
             self.backend = env_backend
@@ -174,7 +158,6 @@ class ExperimentConfig:
             use_cache=True,
             telemetry=self.telemetry_dir,
             profile=self.profile,
-            stepping=self.stepping,
             backend=self.backend,
         )
 

@@ -88,15 +88,6 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "socket": (int,),
         "job_id": (int,),
     },
-    # Emitted by the multi-rate driver (repro.sim.multirate) for each
-    # quiescent window it advanced in closed form: ``n_steps`` fixed
-    # steps were skipped using ``n_substeps`` closed-form substeps.
-    "window_skip": {
-        "step": (int,),
-        "t": (float, int),
-        "n_steps": (int,),
-        "n_substeps": (int,),
-    },
     # -- sweep-harness events ------------------------------------------
     "sweep_start": {
         "n_points": (int,),

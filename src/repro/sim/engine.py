@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..workloads.job import Job
 from .pipeline import EngineContext, StepComponent, build_pipeline
 from .results import SimulationResult
@@ -206,8 +206,6 @@ class Simulation:
         telemetry=None,
         profile: bool = False,
         run_name: str = "run",
-        stepping: str = "fixed",
-        multirate=None,
         backend=None,
     ):
         """Bind a run configuration.
@@ -250,16 +248,6 @@ class Simulation:
                 ``telemetry.profile``.
             run_name: Base name of telemetry log files (each run
                 appends ``-r<k>`` so reuse never interleaves logs).
-            stepping: ``"fixed"`` (default) drives the classic
-                1 ms-per-step :class:`Engine`; ``"adaptive"`` drives
-                the :class:`repro.sim.multirate.MultiRateEngine`,
-                which skips decision-free windows with the closed-form
-                RC solution.  Discrete decisions are bit-identical
-                either way; mid-window temperatures carry a bounded
-                error (see ``docs/architecture.md``).
-            multirate: Optional :class:`repro.sim.multirate.
-                MultiRateConfig` tuning the adaptive driver; ignored
-                under fixed stepping.
             backend: Array backend for the seam-managed kernels: a
                 name from :data:`repro.backend.BACKEND_NAMES`, an
                 :class:`repro.backend.ArrayBackend` instance, or
@@ -286,23 +274,6 @@ class Simulation:
         self.telemetry = telemetry
         self.profile = bool(profile)
         self.run_name = run_name
-        from .multirate import STEPPING_MODES
-
-        if stepping not in STEPPING_MODES:
-            raise ConfigurationError(
-                f"stepping must be one of {STEPPING_MODES}, "
-                f"got {stepping!r}"
-            )
-        if stepping == "adaptive" and abs(
-            params.socket_tau_s - params.chip_tau_s
-        ) <= 1e-9 * max(params.socket_tau_s, params.chip_tau_s):
-            raise ConfigurationError(
-                "adaptive stepping needs distinct chip and socket time "
-                "constants (the closed-form window advance would be "
-                "resonant); use stepping='fixed'"
-            )
-        self.stepping = stepping
-        self.multirate = multirate
         # Resolve eagerly so a bad name/spec raises ConfigurationError
         # at construction, not deep inside run().
         from ..backend import get_backend
@@ -377,16 +348,7 @@ class Simulation:
 
                 self._profiler = StepProfiler()
             profiler = self._profiler
-        if self.stepping == "adaptive":
-            from .multirate import MultiRateEngine
-
-            engine = MultiRateEngine(
-                self.build_components(),
-                config=self.multirate,
-                profiler=profiler,
-            )
-        else:
-            engine = Engine(self.build_components(), profiler=profiler)
+        engine = Engine(self.build_components(), profiler=profiler)
         result = engine.run(ctx)
         if not result.completed_jobs:
             raise SimulationError(

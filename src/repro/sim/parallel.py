@@ -108,7 +108,6 @@ def config_key(
     benchmark_set: BenchmarkSet,
     load: float,
     fault_schedule=None,
-    stepping: str = "fixed",
     backend: str = "numpy",
     room=None,
 ) -> str:
@@ -119,15 +118,10 @@ def config_key(
             FaultSchedule` active for the point; its content fingerprint
             joins the key, so faulted and fault-free runs of the same
             grid point never collide in the cache or on disk.
-        stepping: Engine stepping mode; joins the key only when it is
-            not the default ``"fixed"``, so every pre-existing cache
-            and checkpoint key is unchanged while adaptive results can
-            never alias fixed ones (their epsilon-bounded thermal
-            fields differ).
         backend: Array backend name; joins the key only when it is not
             the default ``"numpy"`` (which is bit-identical to the
-            pre-seam engine), following the same precedent as
-            ``stepping``.
+            pre-seam engine), so every pre-existing cache and
+            checkpoint key is unchanged.
         room: Optional room-layer inputs (an object exposing
             ``token() -> bytes``, e.g. :class:`~repro.room.capacity.
             RoomKey` carrying the room fingerprint — chassis mix plus
@@ -145,8 +139,6 @@ def config_key(
     if fault_schedule is not None:
         digest.update(b"|faults:")
         digest.update(fault_schedule.fingerprint().encode())
-    if stepping != "fixed":
-        digest.update(f"|stepping:{stepping}".encode())
     if backend != "numpy":
         digest.update(f"|backend:{backend}".encode())
     if room is not None:
@@ -269,8 +261,6 @@ def _run_point(
     telemetry=None,
     profile: bool = False,
     point_key: Optional[str] = None,
-    stepping: str = "fixed",
-    multirate=None,
     backend: str = "numpy",
 ) -> SimulationResult:
     """Execute one sweep point; runs in workers and in the serial path.
@@ -306,8 +296,6 @@ def _run_point(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        stepping=stepping,
-        multirate=multirate,
         backend=backend,
     )
 
@@ -335,8 +323,6 @@ def execute_sweep(
     checkpoint: Optional[SweepCheckpoint] = None,
     telemetry=None,
     profile: bool = False,
-    stepping: str = "fixed",
-    multirate=None,
     backend=None,
 ) -> List[SimulationResult]:
     """Run every sweep point, in parallel where possible.
@@ -383,12 +369,6 @@ def execute_sweep(
             its own per-run event log and manifest there.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — engine
-            stepping mode applied to every point (see
-            :class:`~repro.sim.multirate.MultiRateEngine`).  A
-            non-default mode joins the cache/checkpoint key.
-        multirate: Optional :class:`~repro.sim.multirate.
-            MultiRateConfig` for the adaptive driver.
         backend: Array backend applied to every point — a name from
             :data:`repro.backend.BACKEND_NAMES`, an
             :class:`~repro.backend.ArrayBackend` instance, or ``None``
@@ -439,7 +419,6 @@ def execute_sweep(
                 params,
                 *point,
                 fault_schedule=fault_schedule,
-                stepping=stepping,
                 backend=backend_name,
             )
         if cache is not None:
@@ -495,7 +474,6 @@ def execute_sweep(
                 fault_schedule=fault_schedule,
                 result=result,
                 profile=result.profile,
-                stepping=stepping,
             )
             checkpoint.save(keys[i], result, manifest=manifest)
             if session is not None:
@@ -534,8 +512,6 @@ def execute_sweep(
                     profile=profile,
                     keys=keys,
                     session=session,
-                    stepping=stepping,
-                    multirate=multirate,
                     backend=backend_name,
                 )
             for i in serial:
@@ -551,8 +527,6 @@ def execute_sweep(
                         telemetry=telemetry,
                         profile=profile,
                         point_key=keys[i],
-                        stepping=stepping,
-                        multirate=multirate,
                         backend=backend_name,
                     ),
                 )
@@ -581,8 +555,6 @@ def _run_pool(
     profile: bool = False,
     keys: Optional[Sequence[Optional[str]]] = None,
     session=None,
-    stepping: str = "fixed",
-    multirate=None,
     backend: str = "numpy",
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
@@ -634,8 +606,6 @@ def _run_pool(
                         telemetry,
                         profile,
                         keys[i] if keys is not None else None,
-                        stepping,
-                        multirate,
                         backend,
                     )
                     for i in remaining

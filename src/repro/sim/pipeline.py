@@ -54,7 +54,6 @@ from ..backend import numpy_xp as np
 from ..backend import ArrayBackend, default_backend, get_backend
 from ..config.parameters import SimulationParameters
 from ..server.topology import ServerTopology
-from ..thermal.dynamics import ema_window_sum
 from ..workloads.job import Job
 from ..workloads.power_model import leakage_power
 from .power_manager import SelectionWorkspace, select_frequencies
@@ -179,11 +178,6 @@ class EngineContext:
     profile_buckets: Optional[dict] = None
     profile_clock: Optional[object] = None
 
-    # Multi-rate stepping config (a repro.sim.multirate.MultiRateConfig
-    # when the adaptive driver runs this context, else None).  Window
-    # hooks read tolerance and guard-band settings from it.
-    multirate: Optional[object] = None
-
     # Array backend for the seam-managed kernels (DVFS selection, the
     # two-node thermal advance).  The default in-place numpy backend is
     # the historical hot path; non-inplace backends route those kernels
@@ -259,47 +253,6 @@ class StepComponent:
     def on_run_end(self, ctx: EngineContext) -> None:
         """Finalise results after the last step."""
 
-    # -- Multi-rate stepping protocol (see repro.sim.multirate) --------
-    #
-    # The adaptive driver polls these three hooks; the fixed-step
-    # engine never calls them, so components that ignore the protocol
-    # are unaffected.  ``next_event_step`` bounds *when* a component
-    # next acts; ``is_quiescent`` is a state-dependent veto on opening
-    # a window at all; ``on_window`` applies a whole decision-free
-    # window's aggregate effect in one call (pipeline order is
-    # preserved across components).
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        """Earliest step ``>= ctx.step`` at which this component acts.
-
-        ``None`` means "no scheduled event" (the component never
-        constrains the window end).  Returning ``ctx.step`` itself
-        marks the component as acting *now*, which blocks a window
-        from opening at the current step.
-        """
-        return None
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        """Whether this component's state permits skipping steps now.
-
-        The conservative default is ``False``: a component that has
-        not opted into the multi-rate protocol disables window
-        detection entirely, so unknown extra components can never be
-        silently fast-forwarded past.
-        """
-        return False
-
-    def on_window(self, ctx: EngineContext, plan) -> None:
-        """Apply this component's effect over a decision-free window.
-
-        Called in pipeline order with a
-        :class:`repro.sim.multirate.WindowPlan`.  Most components do
-        nothing (their per-step effect is exactly zero in a quiescent
-        window); the thermal updater advances the closed form and may
-        truncate the window by lowering ``plan.steps_advanced``.
-        Components ordered after it must honour the truncated count.
-        """
-
 
 class ArrivalAdmitter(StepComponent):
     """Admit jobs whose arrival time has come into the central queue.
@@ -328,28 +281,6 @@ class ArrivalAdmitter(StepComponent):
         self._pointer = pointer
         if len(queue) > ctx.result.max_queue_length:
             ctx.result.max_queue_length = len(queue)
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        ordered = ctx.ordered_jobs
-        if self._pointer >= len(ordered):
-            return None
-        arrival = ordered[self._pointer].arrival_s
-        dt = ctx.dt
-        # Smallest step s with s * dt >= arrival, computed with the
-        # exact admission predicate (``arrival <= s * dt``) so the
-        # boundary step matches :meth:`on_step`'s float comparison
-        # bit-for-bit even when ``arrival / dt`` rounds badly.
-        s = int(np.ceil(arrival / dt))
-        while s * dt < arrival:
-            s += 1
-        while s > 0 and (s - 1) * dt >= arrival:
-            s -= 1
-        return max(s, ctx.step)
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # Pending arrivals are fully captured by next_event_step;
-        # between arrivals the admitter is a no-op.
-        return True
 
 
 class Placer(StepComponent):
@@ -430,11 +361,6 @@ class Placer(StepComponent):
                     socket=socket_id,
                 )
 
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # A non-empty queue means placement decisions are pending on
-        # every step (a socket may free up at any time).
-        return not ctx.queue
-
 
 class Migrator(StepComponent):
     """Periodically consult the migration policy and apply its moves.
@@ -475,18 +401,6 @@ class Migrator(StepComponent):
 
     def on_run_end(self, ctx: EngineContext) -> None:
         ctx.result.n_migrations = self._migrations
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        # Next firing boundary (step > 0 and step % interval == 0).
-        # Windows never span a firing step, so the policy is always
-        # consulted by a plain fixed step, exactly as in fixed mode.
-        k = self._interval_steps
-        step = ctx.step
-        boundary = step + (-step % k)
-        return boundary if boundary > 0 else k
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        return True
 
 
 class PowerManager(StepComponent):
@@ -599,30 +513,6 @@ class PowerManager(StepComponent):
                     n_throttled=n_throttled,
                 )
 
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # A latched thermal trip runs a per-step hold/hysteresis state
-        # machine that cannot be skipped; a non-zero throttle edge
-        # would emit a telemetry event on the next all-idle step.
-        if self._last_throttled != 0:
-            return False
-        faults = ctx.fault_state
-        return faults is None or not faults.tripped.any()
-
-    def on_window(self, ctx: EngineContext, plan) -> None:
-        # With no busy socket and no queue (guaranteed by the window
-        # preconditions) every step of the window selects the ladder
-        # floor for every socket and draws the gated power — constant
-        # across the window, so one evaluation covers all of it.
-        state = ctx.state
-        min_mhz = float(state.ladder.min_mhz)
-        state.freq_mhz = np.full(ctx.topology.n_sockets, min_mhz)
-        power = ctx.gated_power.copy()
-        faults = ctx.fault_state
-        if faults is not None:
-            faults.zero_dead_power(power)
-        state.power_w = power
-        ctx.power = power
-
 
 class WorkRetirer(StepComponent):
     """Retire work at the granted frequency; interpolate completions.
@@ -697,20 +587,6 @@ class WorkRetirer(StepComponent):
         ctx.retired = retired
         ctx.busy_frac = busy_frac
 
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # Any busy socket retires work (and may complete) every step;
-        # windows only open over fully idle stretches.  This veto is
-        # the seat of the "no upcoming retirements" condition: with no
-        # running job there is no completion horizon to scan.
-        return not ctx.state.busy.any()
-
-    def on_window(self, ctx: EngineContext, plan) -> None:
-        # All idle: zero retirement and zero busy fraction throughout.
-        self._retired[:] = 0.0
-        self._busy_frac[:] = 0.0
-        ctx.retired = self._retired
-        ctx.busy_frac = self._busy_frac
-
 
 class FanControl(StepComponent):
     """Modulate delivered airflow with the server's heat load.
@@ -740,16 +616,6 @@ class FanControl(StepComponent):
         scale = self.controller.airflow_scale(float(ctx.power.sum()))
         ctx.airflow_scale = scale
         ctx.fan_power_w = self.controller.fan_power_w(scale)
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        # Next firing boundary (fires on step 0 and every interval).
-        # Between boundaries the scale and fan power are frozen, which
-        # is exactly the window invariant.
-        step = ctx.step
-        return step + (-step % self._interval_steps)
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        return True
 
 
 class ThermalUpdater(StepComponent):
@@ -786,13 +652,7 @@ class ThermalUpdater(StepComponent):
         self._ambient = np.empty(n)
 
     def _refresh_ambient(self, ctx: EngineContext) -> np.ndarray:
-        """Recompute per-socket entry air from the current sink state.
-
-        Shared verbatim by the fixed step and each multi-rate substep:
-        the identical operation order keeps fixed-mode trajectories
-        bit-identical to the pre-refactor engine, and makes a window
-        substep's ambient refresh exactly a fixed step's.
-        """
+        """Recompute per-socket entry air from the current sink state."""
         state = ctx.state
         inlet = ctx.inlet_c
         backend = ctx.backend
@@ -884,132 +744,6 @@ class ThermalUpdater(StepComponent):
         ema *= alpha
         state.busy_ema += ema
 
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # Without fault machinery there is no thermal trip to guard.
-        # With it, a window may only open when every socket has guard
-        # band headroom below the trip temperature along its entire
-        # idle trajectory: now, at the current chip target, and at the
-        # idle equilibrium the closed form relaxes toward (the steady
-        # state the RC network solver would produce for idle power).
-        faults = ctx.fault_state
-        if faults is None:
-            return True
-        config = ctx.multirate
-        guard = config.trip_guard_c if config is not None else 0.0
-        limit = faults.trip_c - guard
-        state = ctx.state
-        thermal = state.thermal
-        if float(thermal.chip_c.max()) >= limit:
-            return False
-        power = ctx.gated_power
-        if faults.any_dead:
-            power = np.where(faults.alive, power, 0.0)
-        theta = ctx.theta_slope * power + ctx.theta_offset
-        r_int = ctx.params.r_int
-        chip_now = thermal.sink_c + power * r_int + theta
-        if float(chip_now.max()) >= limit:
-            return False
-        rise = self._matrix @ power
-        if ctx.airflow_scale != 1.0:
-            rise = rise / ctx.airflow_scale
-        if faults.airflow_degraded:
-            rise = rise / faults.airflow_factor
-        chip_inf = (
-            rise + ctx.inlet_c + power * (ctx.r_ext + r_int) + theta
-        )
-        return float(chip_inf.max()) < limit
-
-    def on_window(self, ctx: EngineContext, plan) -> None:
-        """Advance the thermal state across a decision-free window.
-
-        Splits the window into substeps of ``k`` whole engine steps.
-        Each substep refreshes the coupling chain (the identical
-        operation order as a fixed step), freezes the resulting entry
-        air, and jumps ``k`` steps with the exact closed-form solution
-        of the decayed two-node recurrence
-        (:meth:`repro.thermal.dynamics.TwoNodeThermalState.
-        advance_window`).  The substep length adapts so the slow
-        (sink) node moves at most ``tolerance_c`` per substep — the
-        sink drives the frozen-ambient error, so this bounds the
-        mid-window temperature deviation from fixed stepping (the
-        documented epsilon); when even one step moves further, the
-        refresh falls back to every-step cadence automatically.
-
-        The temperature-history and utilisation EMAs are updated with
-        the exact exponentially-weighted window sums of the closed
-        form's modes, and a latched guard at half the trip guard band
-        truncates the window early (``plan.steps_advanced``) so fixed
-        stepping resumes before any trip could latch.
-        """
-        state = ctx.state
-        thermal = state.thermal
-        power = ctx.power
-        config = ctx.multirate
-        tolerance = config.tolerance_c
-        faults = ctx.fault_state
-        trip_limit = None
-        if faults is not None:
-            trip_limit = faults.trip_c - 0.5 * config.trip_guard_c
-        theta = np.multiply(ctx.theta_slope, power, out=self._theta)
-        theta += ctx.theta_offset
-        r_int = ctx.params.r_int
-        r_ext = ctx.r_ext
-        sink_decay = self._sink_decay
-        chip_decay = self._chip_decay
-        log_sink_decay = float(np.log(sink_decay))
-        alpha = ctx.history_alpha
-        beta = 1.0 - alpha
-        total = plan.end - plan.start
-        remaining = total
-        chip_max = plan.chip_max
-        while remaining > 0:
-            ambient = self._refresh_ambient(ctx)
-            gap = float(
-                np.abs(
-                    thermal.sink_c - (ambient + power * r_ext)
-                ).max()
-            )
-            if gap <= tolerance:
-                k = remaining
-            else:
-                # Largest k with gap * (1 - sink_decay**k) <= tol.
-                k = int(np.log1p(-tolerance / gap) / log_sink_decay)
-                k = max(1, min(k, remaining))
-            modes = thermal.advance_window(
-                sink_decay,
-                chip_decay,
-                k,
-                ambient,
-                power,
-                r_int,
-                r_ext,
-                theta,
-            )
-            beta_k = beta**k
-            g_chip = ema_window_sum(chip_decay, beta, k)
-            g_sink = ema_window_sum(sink_decay, beta, k)
-            state.history_c = (
-                beta_k * state.history_c
-                + modes.chip_const * (1.0 - beta_k)
-                + alpha
-                * (
-                    modes.chip_amp * g_chip
-                    + modes.cross_amp * g_sink
-                )
-            )
-            # All idle: the utilisation EMA decays geometrically.
-            state.busy_ema = state.busy_ema * beta_k
-            remaining -= k
-            plan.n_substeps += 1
-            if chip_max is not None:
-                np.maximum(chip_max, thermal.chip_c, out=chip_max)
-            if (
-                trip_limit is not None
-                and float(thermal.chip_c.max()) >= trip_limit
-            ):
-                break
-        plan.steps_advanced = total - remaining
-
 
 class MetricsAccumulator(StepComponent):
     """Accumulate measurement-window metrics into the run result.
@@ -1064,31 +798,6 @@ class MetricsAccumulator(StepComponent):
                 else 1.0
             )
 
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        return True
-
-    def on_window(self, ctx: EngineContext, plan) -> None:
-        # An all-idle window contributes exactly zero to the work /
-        # busy / frequency / boost accumulators (their fixed-step
-        # increments are exact +0.0), so only the continuous-time
-        # integrals and the temperature high-water mark accumulate.
-        if not ctx.in_window:
-            return
-        steps = plan.steps_advanced
-        if steps <= 0:
-            return
-        result = ctx.result
-        span = ctx.dt * steps
-        result.energy_j += float(ctx.power.sum()) * span
-        result.cooling_energy_j += ctx.fan_power_w * span
-        self._scale_time_product += ctx.airflow_scale * span
-        if plan.chip_max is not None:
-            np.maximum(
-                result.max_chip_c,
-                plan.chip_max,
-                out=result.max_chip_c,
-            )
-
 
 class Tracer(StepComponent):
     """Sample aggregate state into a fresh per-run time-series trace.
@@ -1131,16 +840,6 @@ class Tracer(StepComponent):
         if self.config.per_zone:
             self._trace.sample_zones(ctx.state)
 
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        # Windows stop at sample boundaries so both stepping modes
-        # sample at the identical steps — the per-sample temperature
-        # differences are exactly the epsilon oracle's observable.
-        step = ctx.step
-        return step + (-step % self._interval_steps)
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        return True
-
 
 class Auditor(StepComponent):
     """Periodically check physical invariants of the full state.
@@ -1169,15 +868,6 @@ class Auditor(StepComponent):
             airflow_scale=ctx.airflow_scale,
             faults=ctx.fault_state,
         )
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        # Audits run on fixed steps only; windows stop at each audit
-        # boundary so every scheduled check still happens.
-        step = ctx.step
-        return step + (-step % self.auditor.interval_steps)
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        return True
 
 
 def build_pipeline(

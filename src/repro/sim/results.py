@@ -50,12 +50,6 @@ class SimulationResult:
             (:class:`repro.obs.profiler.RunProfile`), or ``None`` when
             the run was not profiled.  Excluded from result
             fingerprints — wall-clock is not part of the trajectory.
-        stepping: Stepping-driver summary (mode, steps executed vs
-            skipped, window counts; see
-            :class:`repro.sim.multirate.MultiRateEngine`), or ``None``
-            for plain fixed-step runs.  Excluded from result
-            fingerprints — how the clock advanced is not part of the
-            trajectory.
     """
 
     scheduler_name: str
@@ -77,7 +71,6 @@ class SimulationResult:
     trace: Optional[object] = None
     fault_summary: Optional[dict] = None
     profile: Optional[object] = None
-    stepping: Optional[dict] = None
 
     def __post_init__(self) -> None:
         n = self.topology.n_sockets

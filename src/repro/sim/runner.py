@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from ..config.parameters import SimulationParameters
+from ..errors import ConfigurationError
 from ..server.topology import ServerTopology
 from ..workloads.arrivals import ArrivalProcess
 from ..workloads.benchmark import BenchmarkSet
@@ -24,8 +25,6 @@ def run_once(
     telemetry=None,
     profile: bool = False,
     run_name: str = "run",
-    stepping: str = "fixed",
-    multirate=None,
     backend=None,
 ) -> SimulationResult:
     """Run one (scheduler, benchmark set, load) configuration.
@@ -52,10 +51,6 @@ def run_once(
         profile: Attach per-component wall-clock accounting to
             ``result.profile`` (implied by ``telemetry.profile``).
         run_name: Base name for the run's telemetry artifacts.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — see
-            :class:`repro.sim.multirate.MultiRateEngine`.
-        multirate: Optional :class:`repro.sim.multirate.
-            MultiRateConfig` for the adaptive driver.
         backend: Array backend for the seam-managed kernels — a name
             from :data:`repro.backend.BACKEND_NAMES`, an
             :class:`~repro.backend.ArrayBackend` instance, or ``None``
@@ -78,8 +73,6 @@ def run_once(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        stepping=stepping,
-        multirate=multirate,
         backend=backend,
     )
     result = simulation.run(jobs)
@@ -97,7 +90,6 @@ def run_once(
             fault_schedule=fault_schedule,
             result=result,
             profile=result.profile,
-            stepping=stepping,
         )
         manifest.save(
             Path(simulation.telemetry.directory)
@@ -124,8 +116,8 @@ def run_sweep(
     checkpoint_dir=None,
     telemetry=None,
     profile: bool = False,
+    # Kept only for perfbench/sweep_child.py, which passes it through.
     stepping: str = "fixed",
-    multirate=None,
     backend=None,
 ) -> Dict[Tuple[str, BenchmarkSet, float], SimulationResult]:
     """Run the full cross product of schedulers, sets and loads.
@@ -171,13 +163,8 @@ def run_sweep(
             harness log plus one per-point event log and manifest.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — engine
-            stepping mode applied to every point (see
-            :class:`~repro.sim.multirate.MultiRateEngine`).  A
-            non-default mode joins the cache/checkpoint key, so
-            adaptive results never alias fixed ones.
-        multirate: Optional :class:`~repro.sim.multirate.
-            MultiRateConfig` tuning the adaptive driver.
+        stepping: Must be ``"fixed"``; kept only so callers that
+            pass the removed stepping mode explicitly keep working.
         backend: Array backend applied to every point (name,
             :class:`~repro.backend.ArrayBackend` instance, or ``None``
             for the ``REPRO_BACKEND``/numpy default).  A non-default
@@ -190,6 +177,12 @@ def run_sweep(
     """
     from .checkpoint import SweepCheckpoint
     from .parallel import execute_sweep, shared_cache
+
+    if stepping != "fixed":
+        raise ConfigurationError(
+            f"stepping={stepping!r}: multi-rate stepping was removed; "
+            "only fixed 1 ms stepping remains"
+        )
 
     points = [
         (name, benchmark_set, load)
@@ -217,8 +210,6 @@ def run_sweep(
         checkpoint=checkpoint,
         telemetry=telemetry,
         profile=profile,
-        stepping=stepping,
-        multirate=multirate,
         backend=backend,
     )
     return dict(zip(points, results))

@@ -25,7 +25,6 @@ from .detailed_model import DetailedChipModel, DetailedChipResult
 from .dynamics import (
     TwoNodeThermalState,
     WindowModes,
-    ema_window_sum,
     exponential_step,
 )
 from .airflow import FanModel, airflow_table, server_airflow_requirement
@@ -47,7 +46,6 @@ __all__ = [
     "DetailedChipResult",
     "TwoNodeThermalState",
     "WindowModes",
-    "ema_window_sum",
     "exponential_step",
     "FanModel",
     "FanController",

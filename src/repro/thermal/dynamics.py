@@ -42,10 +42,6 @@ class WindowModes(NamedTuple):
         chip_j = chip_const + chip_amp * chip_decay**j
                             + cross_amp * j * sink_decay**j  (resonant)
 
-    The decomposition lets callers evaluate exact exponentially-weighted
-    sums over the window (e.g. the scheduler history EMA) without
-    iterating the per-step recurrence.
-
     Attributes:
         sink_const: Sink steady state ``ambient + power * r_ext``.
         sink_amp: Sink deviation from steady state at window entry.
@@ -134,23 +130,6 @@ def advance_window_modes(
         chip_after = chip_const + chip_amp * rc_k + cross_amp * rs_k
     sink_after = sink_const + sink_amp * rs_k
     return sink_after, chip_after, modes
-
-
-def ema_window_sum(decay: float, ema_beta: float, n_steps: int) -> float:
-    """Exact geometric EMA weight of a decaying mode over a window.
-
-    Returns ``g(r) = sum_{j=1..k} beta**(k-j) * r**j`` for ``r = decay``,
-    ``beta = ema_beta`` and ``k = n_steps`` — the total weight a mode
-    ``r**j`` contributes to an EMA ``h_j = beta * h_{j-1} + (1-beta) * x_j``
-    unrolled across the window (before the ``1-beta`` factor).  Uses the
-    closed form ``r * (r**k - beta**k) / (r - beta)`` with the confluent
-    limit ``k * r**k`` when the two rates coincide.
-    """
-    if n_steps <= 0:
-        return 0.0
-    if abs(decay - ema_beta) <= 1e-12 * max(abs(decay), abs(ema_beta)):
-        return n_steps * decay**n_steps
-    return decay * (decay**n_steps - ema_beta**n_steps) / (decay - ema_beta)
 
 
 def exponential_step(
@@ -355,7 +334,7 @@ class TwoNodeThermalState:
 
         Returns:
             The :class:`WindowModes` decomposition (evaluated at window
-            entry, i.e. ``j = 0``), for exact EMA updates over the window.
+            entry, i.e. ``j = 0``).
 
         Raises:
             ThermalModelError: if ``n_steps`` is negative or either decay

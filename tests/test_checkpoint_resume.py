@@ -280,8 +280,6 @@ class _FlakyRunPoint:
         telemetry=None,
         profile=False,
         point_key=None,
-        stepping="fixed",
-        multirate=None,
         backend="numpy",
     ):
         from repro.core import get_scheduler
@@ -310,8 +308,6 @@ class _FlakyRunPoint:
             fault_schedule=fault_schedule,
             telemetry=telemetry,
             profile=profile,
-            stepping=stepping,
-            multirate=multirate,
             backend=backend,
         )
 

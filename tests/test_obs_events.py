@@ -1,5 +1,7 @@
 """The telemetry event schema: construction and validation."""
 
+import json
+
 import pytest
 
 from repro.errors import ObservabilityError
@@ -33,6 +35,24 @@ def test_every_schema_type_has_a_buildable_example():
 def test_unknown_type_rejected():
     with pytest.raises(ObservabilityError, match="unknown event type"):
         make_event("teleportation", step=1)
+
+
+def test_removed_window_skip_line_rejected(tmp_path):
+    """Logs from the removed multi-rate driver fail validation loudly."""
+    from repro.obs.writer import read_events
+
+    line = {
+        "v": SCHEMA_VERSION,
+        "type": "window_skip",
+        "step": 10,
+        "t": 0.01,
+        "n_steps": 40,
+        "n_substeps": 2,
+    }
+    path = tmp_path / "run-r0.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ObservabilityError, match="unknown event type"):
+        read_events(path, strict=True, validate=True)
 
 
 def test_missing_required_field_rejected():

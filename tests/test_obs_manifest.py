@@ -48,6 +48,20 @@ def test_unknown_fields_rejected(manifest):
         RunManifest.from_dict(data)
 
 
+def test_legacy_fixed_stepping_field_accepted(manifest):
+    """Manifests written while multi-rate stepping existed still load."""
+    data = manifest.to_dict()
+    data["stepping"] = "fixed"
+    assert RunManifest.from_dict(data) == manifest
+
+
+def test_legacy_adaptive_stepping_rejected(manifest):
+    data = manifest.to_dict()
+    data["stepping"] = "adaptive"
+    with pytest.raises(ObservabilityError, match="stepping was removed"):
+        RunManifest.from_dict(data)
+
+
 def test_read_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.manifest.json"
     path.write_text("{not json", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Property-based tests for the closed-form window advance.
 
-The multi-rate driver's physics kernel is
+The batched fleet evaluator (:mod:`repro.sim.batched`) advances its
+cold-start transients with
 :meth:`~repro.thermal.dynamics.TwoNodeThermalState.advance_window`: the
 exact mode decomposition of ``n`` iterated
 :meth:`~repro.thermal.dynamics.TwoNodeThermalState.step_decayed` calls
@@ -10,14 +11,11 @@ algebraic properties everything downstream leans on:
 - **agreement** — the closed form matches the iterated recurrence to
   float round-off, in both the generic and the resonant branch;
 - **semigroup** — advancing ``k1 + k2`` steps equals advancing ``k1``
-  then ``k2`` (window splitting is free, which is what lets the trip
-  guard truncate windows at substep boundaries);
+  then ``k2`` (window splitting is free);
 - **monotone decay** — at zero power with ordered initial state the
   chip cools monotonically toward ambient and never undershoots it.
 
-Plus the exact-EMA weight :func:`~repro.thermal.dynamics.
-ema_window_sum` against its unrolled definition, and a steady-state
-cross-check against the general RC solver
+Plus a steady-state cross-check against the general RC solver
 (:class:`~repro.thermal.rc_network.FactorizedSystem` machinery).
 """
 
@@ -25,10 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.thermal.dynamics import (
-    TwoNodeThermalState,
-    ema_window_sum,
-)
+from repro.thermal.dynamics import TwoNodeThermalState
 
 #: Agreement tolerance between the closed form and the iterated
 #: recurrence.  Both are exact in real arithmetic; float round-off
@@ -184,30 +179,6 @@ def test_zero_power_decay_is_monotone(
         assert chip_k <= previous + 1e-9
         assert chip_k >= ambient - 1e-9
         previous = chip_k
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    decay=decays,
-    beta=decays,
-    n_steps=st.integers(min_value=0, max_value=400),
-)
-def test_ema_window_sum_matches_unrolled_definition(
-    decay, beta, n_steps
-):
-    expected = sum(
-        beta ** (n_steps - j) * decay**j for j in range(1, n_steps + 1)
-    )
-    actual = ema_window_sum(decay, beta, n_steps)
-    assert abs(actual - expected) <= 1e-9 * max(abs(expected), 1.0)
-
-
-def test_ema_window_sum_confluent_limit():
-    """The r == beta branch agrees with the limit of nearby rates."""
-    exact = ema_window_sum(0.5, 0.5, 30)
-    nearby = ema_window_sum(0.5 + 1e-10, 0.5, 30)
-    assert abs(exact - nearby) <= 1e-6
-    assert abs(exact - 30 * 0.5**30) <= 1e-12
 
 
 def test_window_fixed_point_matches_rc_solver():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config.presets import smoke
 from repro.core import get_scheduler
+from repro.errors import ConfigurationError
 from repro.sim.runner import run_once, run_sweep
 from repro.workloads.benchmark import BenchmarkSet
 
@@ -84,3 +85,36 @@ class TestRunSweep:
             loads=(0.3, 0.5),
         )
         assert len(results) == 2
+
+
+class TestRemovedEngineForks:
+    """Only the fixed-step engine remains; the old selectors are guards."""
+
+    def test_fixed_stepping_is_accepted(self, small_sut):
+        results = run_sweep(
+            small_sut,
+            smoke(),
+            ["CF"],
+            [BenchmarkSet.COMPUTATION],
+            [0.5],
+            stepping="fixed",
+        )
+        assert len(results) == 1
+
+    def test_adaptive_stepping_names_the_removal(self, small_sut):
+        with pytest.raises(ConfigurationError, match="stepping was removed"):
+            run_sweep(
+                small_sut,
+                smoke(),
+                ["CF"],
+                [BenchmarkSet.COMPUTATION],
+                [0.5],
+                stepping="adaptive",
+            )
+
+    def test_experiment_config_stepping_is_a_constant(self):
+        from repro.experiments.common import ExperimentConfig
+
+        assert ExperimentConfig.stepping == "fixed"
+        with pytest.raises(TypeError):
+            ExperimentConfig(stepping="adaptive")
