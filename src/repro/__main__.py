@@ -63,10 +63,6 @@ def _cmd_run(args) -> int:
         from .obs.session import ENV_PROFILE
 
         os.environ[ENV_PROFILE] = "1"
-    if args.backend is not None:
-        from .backend import ENV_BACKEND
-
-        os.environ[ENV_BACKEND] = args.backend
     if args.all:
         experiments = all_experiments()
     elif args.light:
@@ -127,13 +123,6 @@ def _cmd_sweep(args) -> int:
         from .obs.session import TelemetryConfig
 
         telemetry = TelemetryConfig.from_env()
-    backend = args.backend
-    if backend is None:
-        import os
-
-        from .backend import ENV_BACKEND
-
-        backend = os.environ.get(ENV_BACKEND) or "numpy"
     results = run_sweep(
         topology,
         params,
@@ -146,7 +135,6 @@ def _cmd_sweep(args) -> int:
         checkpoint_dir=args.resume,
         telemetry=telemetry,
         profile=args.profile or profile_from_env(),
-        backend=backend,
     )
     if args.csv:
         save_csv(results, args.csv)
@@ -218,7 +206,6 @@ def _cmd_fleet_serve(args) -> int:
         config=config,
         checkpoint_dir=args.checkpoints,
         session=session,
-        backend=args.backend,
     )
 
     async def _serve() -> None:
@@ -296,7 +283,6 @@ def _cmd_fleet_chaos(args) -> int:
                 -1.0 if args.batch_window is None else args.batch_window
             ),
             max_batch=0 if args.max_batch is None else args.max_batch,
-            backend=args.backend,
         )
         if args.heartbeat_interval is not None:
             import dataclasses
@@ -338,7 +324,6 @@ def _cmd_room(args) -> int:
             seed=args.seed,
             audit=args.audit,
             telemetry_dir=args.telemetry,
-            backend=args.backend or "numpy",
         )
         result = run(
             config=config,
@@ -440,18 +425,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
             "account per-component wall-clock for every simulation "
             "(<2%% overhead) and attach the profile table to results "
             "and manifests (also: REPRO_PROFILE=1)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["numpy", "jax"],
-        default=None,
-        help=(
-            "array backend for the thermal/DVFS kernels: 'numpy' "
-            "(default, bit-identical to the historical engine) or "
-            "'jax' (optional dependency; epsilon-bounded results, "
-            "enables jit/vmap batched evaluation — see "
-            "docs/architecture.md) (also: REPRO_BACKEND)"
         ),
     )
 
@@ -599,14 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "window is set; also: REPRO_FLEET_BATCH=window:N)"
             ),
         )
-        p.add_argument(
-            "--backend",
-            default=None,
-            help=(
-                "array backend for the workers' what-if fleet-tensor "
-                "path (e.g. numpy, jax; also: REPRO_BACKEND)"
-            ),
-        )
 
     serve_parser = fleet_sub.add_parser(
         "serve", help="run the fleet service (JSON lines over TCP)"
@@ -748,12 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         metavar="DIR",
         help="mirror room solver events to DIR/room.jsonl",
-    )
-    room_parser.add_argument(
-        "--backend",
-        choices=["numpy", "jax"],
-        default=None,
-        help="array backend for the chassis kernels",
     )
     room_parser.add_argument(
         "--out",

@@ -138,7 +138,7 @@ def room_capacity_curve(room, crac_setpoints_c, **kwargs):
         room: A :class:`repro.room.Room`.
         crac_setpoints_c: CRAC supply temperatures to sweep, degC.
         **kwargs: Forwarded (``placement``, ``benchmark_set``,
-            ``limit_c``, ``seed``, ``mode``, ``backend``, ...).
+            ``limit_c``, ``seed``, ``mode``, ...).
 
     Returns:
         ``List[repro.room.RoomDeratingPoint]``.

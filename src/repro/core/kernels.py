@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..backend import get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..sim.power_manager import select_frequencies_steady
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backend import ArrayBackend
     from ..server.topology import ServerTopology
     from ..sim.view import SchedulerView
 
@@ -66,17 +65,8 @@ class PlacementKernel:
       outside the normal step cadence (scheduler reset / engine reuse).
     """
 
-    def __init__(
-        self,
-        topology: "ServerTopology",
-        backend: "ArrayBackend | None" = None,
-    ) -> None:
+    def __init__(self, topology: "ServerTopology") -> None:
         self.topology = topology
-        # Placement is decision-path code: gathers, boolean masks and
-        # segment sums run on host numpy arrays from the SchedulerView.
-        # The backend only governs how the persistent per-step caches
-        # are updated (in place vs functionally).
-        self._backend = get_backend(backend)
         coupling = topology.coupling
         n = topology.n_sockets
         chains = [coupling.downwind_of(s) for s in range(n)]
@@ -100,9 +90,7 @@ class PlacementKernel:
     def invalidate(self) -> None:
         """Drop the per-step frequency cache (run start / state reset)."""
         self._cache_time = None
-        self._freq_valid = self._backend.at_set(
-            self._freq_valid, slice(None), False
-        )
+        self._freq_valid[:] = False
 
     def downwind_losses(
         self,
@@ -186,32 +174,24 @@ class PlacementKernel:
         """
         if self._cache_time != view.time_s:
             self._cache_time = view.time_s
-            self._freq_valid = self._backend.at_set(
-                self._freq_valid, slice(None), False
-            )
+            self._freq_valid[:] = False
         need = np.zeros_like(self._freq_valid)
         need[victims] = True
         need &= ~self._freq_valid
         if need.any():
             ids = np.nonzero(need)[0]
             topology = self.topology
-            self._freq_now = self._backend.at_set(
-                self._freq_now,
-                ids,
-                select_frequencies_steady(
-                    ambient_c=view.ambient_c[ids],
-                    chip_c=view.chip_c[ids],
-                    dyn_max_w=view.dyn_max_w[ids],
-                    dyn_exp=view.dyn_exp[ids],
-                    tdp_w=topology.tdp_array[ids],
-                    r_ext=topology.r_ext_array[ids],
-                    theta_offset=topology.theta_offset_array[ids],
-                    theta_slope=topology.theta_slope_array[ids],
-                    ladder=view.ladder,
-                    params=view.params,
-                ),
+            self._freq_now[ids] = select_frequencies_steady(
+                ambient_c=view.ambient_c[ids],
+                chip_c=view.chip_c[ids],
+                dyn_max_w=view.dyn_max_w[ids],
+                dyn_exp=view.dyn_exp[ids],
+                tdp_w=topology.tdp_array[ids],
+                r_ext=topology.r_ext_array[ids],
+                theta_offset=topology.theta_offset_array[ids],
+                theta_slope=topology.theta_slope_array[ids],
+                ladder=view.ladder,
+                params=view.params,
             )
-            self._freq_valid = self._backend.at_set(
-                self._freq_valid, ids, True
-            )
+            self._freq_valid[ids] = True
         return self._freq_now

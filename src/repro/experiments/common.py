@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Sequence, Tuple
 
-from ..backend import ENV_BACKEND
 from ..config.parameters import SimulationParameters
 from ..config.presets import scaled
 from ..errors import ConfigurationError
@@ -26,10 +25,6 @@ ENV_WORKERS = "REPRO_WORKERS"
 #: Environment variable enabling runtime invariant auditing (any
 #: non-empty value other than "0").
 ENV_AUDIT = "REPRO_AUDIT"
-
-#: ``ENV_BACKEND`` ("REPRO_BACKEND") selects the array backend; it is
-#: imported from :mod:`repro.backend` above and honoured here so
-#: experiment entry points pick it up like the other scale knobs.
 
 
 @dataclass
@@ -57,10 +52,6 @@ class ExperimentConfig:
             disables; also settable via ``REPRO_TELEMETRY``).
         profile: Attach per-component wall-clock profiles to results
             (also settable via ``REPRO_PROFILE``).
-        backend: Array backend name for the seam-managed kernels:
-            ``"numpy"`` (default, bit-identical to the pre-seam
-            engine) or ``"jax"`` (also settable via
-            ``REPRO_BACKEND``; see ``docs/architecture.md`` §11).
     """
 
     n_rows: int = 3
@@ -77,10 +68,11 @@ class ExperimentConfig:
     audit: bool = False
     telemetry_dir: "str | None" = None
     profile: bool = False
-    backend: str = "numpy"
 
-    #: Exists only for callers that pass it on to ``run_sweep``.
+    # Kept only for perfbench/sweep_child.py, which passes both to
+    # run_sweep; neither is an init field or reads the environment.
     stepping: ClassVar[str] = "fixed"
+    backend: ClassVar[str] = "numpy"
 
     def __post_init__(self) -> None:
         from ..obs.session import ENV_TELEMETRY, profile_from_env
@@ -103,14 +95,6 @@ class ExperimentConfig:
             self.telemetry_dir = env_telemetry
         if profile_from_env():
             self.profile = True
-        env_backend = os.environ.get(ENV_BACKEND)
-        if env_backend and self.backend == "numpy":
-            self.backend = env_backend
-        from ..backend import get_backend
-
-        # Resolve eagerly so a bad name (or a missing optional
-        # dependency) fails at configuration time, not mid-sweep.
-        self.backend = get_backend(self.backend).name
         if self.n_rows < 1:
             raise ConfigurationError("n_rows must be >= 1")
         if self.max_workers < 1:
@@ -158,7 +142,6 @@ class ExperimentConfig:
             use_cache=True,
             telemetry=self.telemetry_dir,
             profile=self.profile,
-            backend=self.backend,
         )
 
 

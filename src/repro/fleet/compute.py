@@ -24,10 +24,9 @@ the batch (state fingerprint = utilization vector over this chassis'
 topology/parameters), all placement candidates of all queries sharing
 a state are scored in one stacked pass, and the what-if scenarios of
 every member stack into a single :func:`~repro.sim.batched.
-evaluate_fleet` fleet-tensor call (so under ``--backend jax`` the
-jit+vmap axis runs across *users*, not just sweep points).  On numpy
-the batched answers are bit-identical to the per-query path — every
-stacked operation is elementwise over the member axis.
+evaluate_fleet` fleet-tensor call.  The batched answers are
+bit-identical to the per-query path — every stacked operation is
+elementwise over the member axis.
 
 Solved equilibrium fields are additionally memoised in a **warm-field
 cache** (:class:`WarmFieldCache`): a bounded, state-fingerprint-keyed
@@ -199,10 +198,6 @@ class ChassisCompute:
         params: Simulation parameters (likewise).
         cache: What-if memo cache (a bounded
             :class:`~repro.sim.parallel.SweepCache`).
-        backend: Array-backend selection for the fleet-tensor what-if
-            path — a name from :data:`repro.backend.BACKEND_NAMES` or
-            ``None`` (``REPRO_BACKEND``/numpy), exactly as accepted by
-            :func:`~repro.sim.batched.evaluate_fleet`.
         warm: The warm-field cache (``warm_capacity=0`` disables it).
     """
 
@@ -212,14 +207,12 @@ class ChassisCompute:
         topology: Optional[ServerTopology] = None,
         params: Optional[SimulationParameters] = None,
         cache: Optional[SweepCache] = None,
-        backend: Optional[str] = None,
         warm_capacity: int = WARM_FIELD_CACHE_MAX,
     ) -> None:
         self.spec = spec
         self.topology = topology or spec.build_topology()
         self.params = params or spec.build_params()
         self.cache = cache if cache is not None else SweepCache()
-        self.backend = backend
         self.warm = WarmFieldCache(warm_capacity)
         self._state_prefix = self._fingerprint_prefix()
         self._last_state_fp: Optional[str] = None
@@ -346,7 +339,6 @@ class ChassisCompute:
             self.params,
             points,
             window_steps=query.window_steps,
-            backend=self.backend,
         )
         payload = self._what_if_payload(result, 0, len(points))
         self.cache.put(key, payload)
@@ -401,10 +393,9 @@ class ChassisCompute:
         stacked broadcast over the member axis.  What-if members'
         uncached scenarios stack into one
         :func:`~repro.sim.batched.evaluate_fleet` call per distinct
-        ``window_steps`` (honouring :attr:`backend`, so the jit+vmap
-        path batches across users, not just sweep points).
+        ``window_steps``.
 
-        On numpy every payload is bit-identical to the corresponding
+        Every payload is bit-identical to the corresponding
         :meth:`answer` call — all stacked operations are elementwise
         over the member axis, and the fleet-tensor evaluator is
         per-point bit-identical by construction.
@@ -542,7 +533,6 @@ class ChassisCompute:
                 self.params,
                 points,
                 window_steps=window_steps,
-                backend=self.backend,
             )
             start = 0
             for index, count in zip(members, counts):

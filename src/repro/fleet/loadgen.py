@@ -110,7 +110,6 @@ def drive_fleet(
     tick_s: float = 0.02,
     heartbeat_interval_s: float = 0.5,
     warm_capacity: int = 0,
-    backend: Optional[str] = None,
     session=None,
     drain_s: float = 60.0,
 ) -> FleetCoordinator:
@@ -131,7 +130,7 @@ def drive_fleet(
         raise FleetError("tick_s must be positive")
     computes = {
         chassis_id: ChassisCompute(
-            spec, backend=backend, warm_capacity=warm_capacity
+            spec, warm_capacity=warm_capacity
         )
         for chassis_id, spec in registry.chassis.items()
     }

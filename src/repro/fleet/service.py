@@ -118,7 +118,6 @@ class FleetService:
         checkpoint_dir: Optional[str] = None,
         session=None,
         tick_interval_s: float = 0.05,
-        backend: Optional[str] = None,
     ) -> None:
         if tick_interval_s <= 0:
             raise FleetError("tick interval must be positive")
@@ -128,7 +127,6 @@ class FleetService:
         # log, so they default off here (chaos runs keep them on).
         self.config = config or FleetConfig(log_heartbeats=False)
         self.checkpoint_dir = checkpoint_dir
-        self.backend = backend
         self.session = session
         self.tick_interval_s = tick_interval_s
         self.coordinator: Optional[FleetCoordinator] = None
@@ -152,7 +150,6 @@ class FleetService:
                 worker_id=w.worker_id,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
                 checkpoint_dir=self.checkpoint_dir,
-                backend=self.backend,
             )
             for w in self.registry.workers
         }

@@ -71,7 +71,6 @@ def room_solve_key(
     dyn_max_w: np.ndarray,
     crac_supply_c: float,
     seed: int = 0,
-    backend: str = "numpy",
 ) -> str:
     """The shared-cache key for one fully specified room solve.
 
@@ -94,7 +93,6 @@ def room_solve_key(
         "room",
         BenchmarkSet.COMPUTATION,
         float(np.mean(utilization)),
-        backend=backend,
         room=RoomKey(
             fingerprint=room.fingerprint(),
             crac_supply_c=float(crac_supply_c),
@@ -110,7 +108,6 @@ def solve_room_cached(
     crac_supply_c: float,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
     use_cache: bool = True,
     emit=None,
     **solve_kwargs,
@@ -122,18 +119,13 @@ def solve_room_cached(
     those free.  Cached solutions are keyed on the full room inputs
     (see :func:`room_solve_key`), never aliasing chassis sweep results.
     """
-    from ..backend import get_backend
-
-    backend_name = get_backend(backend).name
     util = np.asarray(utilization, dtype=float)
     if util.ndim == 0:
         util = np.full(room.n_chassis, float(util))
     dyn = np.asarray(dyn_max_w, dtype=float)
     if dyn.ndim == 0:
         dyn = np.full(room.n_chassis, float(dyn))
-    key = room_solve_key(
-        room, util, dyn, crac_supply_c, seed=seed, backend=backend_name
-    )
+    key = room_solve_key(room, util, dyn, crac_supply_c, seed=seed)
     if use_cache:
         cached = shared_cache.get(key)
         if cached is not None:
@@ -145,7 +137,6 @@ def solve_room_cached(
         crac_supply_c,
         seed=seed,
         mode=mode,
-        backend=backend,
         emit=emit,
         **solve_kwargs,
     )
@@ -162,7 +153,6 @@ def max_sustainable_room_load(
     limit_c: Optional[float] = None,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
     use_cache: bool = True,
     emit=None,
 ) -> float:
@@ -184,7 +174,6 @@ def max_sustainable_room_load(
             the shared parameter set.
         seed: Parameter seed.
         mode: Chassis evaluation mode (``"batched"`` / ``"serial"``).
-        backend: Array backend for the batched path.
         use_cache: Memoise probes into the shared sweep cache.
         emit: Optional telemetry sink threaded to every room solve.
 
@@ -210,7 +199,6 @@ def max_sustainable_room_load(
             dyn_max_w=dynamic,
             seed=seed,
             mode=mode,
-            backend=backend,
         )
         solution = solve_room_cached(
             room,
@@ -219,7 +207,6 @@ def max_sustainable_room_load(
             crac_supply_c,
             seed=seed,
             mode=mode,
-            backend=backend,
             use_cache=use_cache,
             emit=emit,
         )
@@ -260,7 +247,6 @@ def room_derating_curve(
     limit_c: Optional[float] = None,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
     use_cache: bool = True,
     emit=None,
 ) -> List[RoomDeratingPoint]:
@@ -285,7 +271,6 @@ def room_derating_curve(
                 limit_c=limit_c,
                 seed=seed,
                 mode=mode,
-                backend=backend,
                 use_cache=use_cache,
                 emit=emit,
             ),
@@ -319,7 +304,6 @@ def optimize_crac_setpoint(
     limit_c: Optional[float] = None,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
     use_cache: bool = True,
     emit=None,
 ) -> CracSetpointChoice:
@@ -350,7 +334,6 @@ def optimize_crac_setpoint(
         limit_c=limit_c,
         seed=seed,
         mode=mode,
-        backend=backend,
         use_cache=use_cache,
         emit=emit,
     )

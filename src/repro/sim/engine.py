@@ -206,7 +206,6 @@ class Simulation:
         telemetry=None,
         profile: bool = False,
         run_name: str = "run",
-        backend=None,
     ):
         """Bind a run configuration.
 
@@ -248,13 +247,6 @@ class Simulation:
                 ``telemetry.profile``.
             run_name: Base name of telemetry log files (each run
                 appends ``-r<k>`` so reuse never interleaves logs).
-            backend: Array backend for the seam-managed kernels: a
-                name from :data:`repro.backend.BACKEND_NAMES`, an
-                :class:`repro.backend.ArrayBackend` instance, or
-                ``None`` (consult ``REPRO_BACKEND``, default numpy).
-                The default numpy backend is bit-identical to the
-                pre-seam engine; other backends are validation modes
-                (see ``docs/architecture.md`` §11).
         """
         self.topology = topology
         self.params = params
@@ -274,11 +266,6 @@ class Simulation:
         self.telemetry = telemetry
         self.profile = bool(profile)
         self.run_name = run_name
-        # Resolve eagerly so a bad name/spec raises ConfigurationError
-        # at construction, not deep inside run().
-        from ..backend import get_backend
-
-        self.backend = get_backend(backend)
         # Both persist across runs: the recorder's run counter keeps
         # back-to-back logs in distinct files, and the profiler rebinds
         # (zeroing its accounting) at every run start.
@@ -337,7 +324,6 @@ class Simulation:
             self.scheduler,
             ordered,
             n_jobs_submitted=len(jobs),
-            backend=self.backend,
         )
         if self.params.warm_start and ordered:
             _warm_start(ctx.state, ordered)
@@ -348,8 +334,9 @@ class Simulation:
 
                 self._profiler = StepProfiler()
             profiler = self._profiler
-        engine = Engine(self.build_components(), profiler=profiler)
-        result = engine.run(ctx)
+        result = Engine(self.build_components(), profiler=profiler).run(
+            ctx
+        )
         if not result.completed_jobs:
             raise SimulationError(
                 "no jobs completed in the measurement window; increase "

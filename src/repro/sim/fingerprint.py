@@ -71,4 +71,3 @@ def result_fingerprint(
     if include_fault_summary and result.fault_summary is not None:
         digest.update(repr(sorted(result.fault_summary.items())).encode())
     return digest.hexdigest()
-

@@ -108,7 +108,6 @@ def config_key(
     benchmark_set: BenchmarkSet,
     load: float,
     fault_schedule=None,
-    backend: str = "numpy",
     room=None,
 ) -> str:
     """Memo-cache key for one fully specified sweep point.
@@ -118,10 +117,6 @@ def config_key(
             FaultSchedule` active for the point; its content fingerprint
             joins the key, so faulted and fault-free runs of the same
             grid point never collide in the cache or on disk.
-        backend: Array backend name; joins the key only when it is not
-            the default ``"numpy"`` (which is bit-identical to the
-            pre-seam engine), so every pre-existing cache and
-            checkpoint key is unchanged.
         room: Optional room-layer inputs (an object exposing
             ``token() -> bytes``, e.g. :class:`~repro.room.capacity.
             RoomKey` carrying the room fingerprint — chassis mix plus
@@ -139,8 +134,6 @@ def config_key(
     if fault_schedule is not None:
         digest.update(b"|faults:")
         digest.update(fault_schedule.fingerprint().encode())
-    if backend != "numpy":
-        digest.update(f"|backend:{backend}".encode())
     if room is not None:
         digest.update(b"|room:")
         digest.update(room.token())
@@ -261,7 +254,6 @@ def _run_point(
     telemetry=None,
     profile: bool = False,
     point_key: Optional[str] = None,
-    backend: str = "numpy",
 ) -> SimulationResult:
     """Execute one sweep point; runs in workers and in the serial path.
 
@@ -296,7 +288,6 @@ def _run_point(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        backend=backend,
     )
 
 
@@ -323,7 +314,6 @@ def execute_sweep(
     checkpoint: Optional[SweepCheckpoint] = None,
     telemetry=None,
     profile: bool = False,
-    backend=None,
 ) -> List[SimulationResult]:
     """Run every sweep point, in parallel where possible.
 
@@ -369,13 +359,6 @@ def execute_sweep(
             its own per-run event log and manifest there.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        backend: Array backend applied to every point — a name from
-            :data:`repro.backend.BACKEND_NAMES`, an
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            (consult ``REPRO_BACKEND``, default numpy).  Resolved once
-            up front (so a bad spec fails before any work) and shipped
-            to workers as its *name*, which is always picklable; a
-            non-default backend joins the cache/checkpoint key.
 
     Returns:
         One :class:`~repro.sim.results.SimulationResult` per point, in
@@ -393,10 +376,6 @@ def execute_sweep(
         raise ConfigurationError("retry_backoff_s must be >= 0")
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigurationError("timeout_s must be positive")
-
-    from ..backend import get_backend
-
-    backend_name = get_backend(backend).name
 
     if telemetry is not None:
         from ..obs.session import TelemetryConfig
@@ -419,7 +398,6 @@ def execute_sweep(
                 params,
                 *point,
                 fault_schedule=fault_schedule,
-                backend=backend_name,
             )
         if cache is not None:
             hit = cache.get(keys[i])
@@ -512,7 +490,6 @@ def execute_sweep(
                     profile=profile,
                     keys=keys,
                     session=session,
-                    backend=backend_name,
                 )
             for i in serial:
                 record(
@@ -527,7 +504,6 @@ def execute_sweep(
                         telemetry=telemetry,
                         profile=profile,
                         point_key=keys[i],
-                        backend=backend_name,
                     ),
                 )
         if session is not None:
@@ -555,7 +531,6 @@ def _run_pool(
     profile: bool = False,
     keys: Optional[Sequence[Optional[str]]] = None,
     session=None,
-    backend: str = "numpy",
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
 
@@ -606,7 +581,6 @@ def _run_pool(
                         telemetry,
                         profile,
                         keys[i] if keys is not None else None,
-                        backend,
                     )
                     for i in remaining
                 }

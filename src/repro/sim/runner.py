@@ -25,7 +25,6 @@ def run_once(
     telemetry=None,
     profile: bool = False,
     run_name: str = "run",
-    backend=None,
 ) -> SimulationResult:
     """Run one (scheduler, benchmark set, load) configuration.
 
@@ -51,10 +50,6 @@ def run_once(
         profile: Attach per-component wall-clock accounting to
             ``result.profile`` (implied by ``telemetry.profile``).
         run_name: Base name for the run's telemetry artifacts.
-        backend: Array backend for the seam-managed kernels — a name
-            from :data:`repro.backend.BACKEND_NAMES`, an
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            (consult ``REPRO_BACKEND``, default numpy).
     """
     arrivals = ArrivalProcess(
         benchmark_set=benchmark_set,
@@ -73,7 +68,6 @@ def run_once(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        backend=backend,
     )
     result = simulation.run(jobs)
     if simulation.telemetry is not None:
@@ -116,9 +110,9 @@ def run_sweep(
     checkpoint_dir=None,
     telemetry=None,
     profile: bool = False,
-    # Kept only for perfbench/sweep_child.py, which passes it through.
+    # Kept only for perfbench/sweep_child.py, which passes both through.
     stepping: str = "fixed",
-    backend=None,
+    backend: str = "numpy",
 ) -> Dict[Tuple[str, BenchmarkSet, float], SimulationResult]:
     """Run the full cross product of schedulers, sets and loads.
 
@@ -163,17 +157,17 @@ def run_sweep(
             harness log plus one per-point event log and manifest.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        stepping: Must be ``"fixed"``; kept only so callers that
-            pass the removed stepping mode explicitly keep working.
-        backend: Array backend applied to every point (name,
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            for the ``REPRO_BACKEND``/numpy default).  A non-default
-            backend joins the cache/checkpoint key, so its
-            epsilon-bounded results never alias the numpy ones.
+        stepping: Must be ``"fixed"``; multi-rate stepping was removed.
+        backend: Must be ``"numpy"``; the array-backend seam was
+            removed.
 
     Returns:
         Mapping from ``(scheduler name, benchmark set, load)`` to the
         run's :class:`SimulationResult`.
+
+    Raises:
+        ConfigurationError: if ``stepping`` or ``backend`` names a
+            removed engine path.
     """
     from .checkpoint import SweepCheckpoint
     from .parallel import execute_sweep, shared_cache
@@ -182,6 +176,11 @@ def run_sweep(
         raise ConfigurationError(
             f"stepping={stepping!r}: multi-rate stepping was removed; "
             "only fixed 1 ms stepping remains"
+        )
+    if backend != "numpy":
+        raise ConfigurationError(
+            f"backend={backend!r}: the array-backend seam was removed; "
+            "only the numpy engine remains"
         )
 
     points = [
@@ -210,6 +209,5 @@ def run_sweep(
         checkpoint=checkpoint,
         telemetry=telemetry,
         profile=profile,
-        backend=backend,
     )
     return dict(zip(points, results))

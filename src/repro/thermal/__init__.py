@@ -22,11 +22,7 @@ This package implements every thermal model the paper relies on:
 from .heatsink import HeatSink, FIN_18, FIN_30
 from .chip_model import SimplifiedChipModel, peak_temperature
 from .detailed_model import DetailedChipModel, DetailedChipResult
-from .dynamics import (
-    TwoNodeThermalState,
-    WindowModes,
-    exponential_step,
-)
+from .dynamics import TwoNodeThermalState, exponential_step
 from .airflow import FanModel, airflow_table, server_airflow_requirement
 from .fan_control import FanController
 from .coupling import CouplingChain, CouplingMatrix
@@ -45,7 +41,6 @@ __all__ = [
     "DetailedChipModel",
     "DetailedChipResult",
     "TwoNodeThermalState",
-    "WindowModes",
     "exponential_step",
     "FanModel",
     "FanController",

@@ -18,10 +18,10 @@ take 1 ms power-manager steps or coarser steps without error growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..errors import ThermalModelError
 
 #: On-chip thermal time constant (Table III), seconds.
@@ -72,13 +72,12 @@ def advance_window_modes(
     r_ext,
     theta,
 ):
-    """Pure closed-form window advance over any array namespace.
+    """Closed-form window advance on fresh arrays.
 
     The functional core of :meth:`TwoNodeThermalState.advance_window`:
-    elementwise operator math only, so it runs unchanged on plain numpy
-    arrays, on stacked ``(N, n)`` fleet tensors (leading batch axis),
-    and on traced JAX arrays — scalars ``sink_decay``/``chip_decay``/
-    ``n_steps`` must stay Python numbers (static under jit).
+    elementwise operator math only, so it runs unchanged on per-socket
+    ``(n,)`` arrays and on stacked ``(N, n)`` fleet tensors (leading
+    batch axis).
 
     Returns:
         ``(sink_after, chip_after, modes)`` — the node arrays after
@@ -239,7 +238,6 @@ class TwoNodeThermalState:
         r_ext: np.ndarray,
         theta: np.ndarray,
         scratch: "np.ndarray | None" = None,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         """Advance both nodes using precomputed decay factors.
 
@@ -261,20 +259,8 @@ class TwoNodeThermalState:
             r_ext: Per-socket external (sink) resistance, degC/W.
             theta: Per-socket Equation 1 correction, degC.
             scratch: Optional per-socket work buffer reused by the
-                engine hot path (its contents are overwritten; ignored
-                by non-inplace backends).
-            backend: Array backend; non-inplace backends take the pure
-                functional twin, which performs the same float ops in
-                the same per-element order (bit-identical under numpy).
+                engine hot path (its contents are overwritten).
         """
-        backend = get_backend(backend)
-        if not backend.inplace:
-            target = power_w * r_ext + ambient_c
-            sink = (self.sink_c - target) * sink_decay + target
-            target = power_w * r_int + sink + theta
-            self.chip_c = (self.chip_c - target) * chip_decay + target
-            self.sink_c = sink
-            return
         # Sink node: target = ambient + power * r_ext, then
         # T <- target + (T - target) * decay, evaluated in place.
         target = np.multiply(power_w, r_ext, out=scratch)
@@ -359,7 +345,6 @@ class TwoNodeThermalState:
         ambient_c: np.ndarray,
         r_ext: np.ndarray,
         out: "np.ndarray | None" = None,
-        backend: Optional[ArrayBackend] = None,
     ) -> np.ndarray:
         """Heat currently flowing from each sink into the air stream, W.
 
@@ -370,15 +355,8 @@ class TwoNodeThermalState:
         Args:
             ambient_c: Per-socket entry air temperature, degC.
             r_ext: Per-socket external (sink) resistance, degC/W.
-            out: Optional output buffer reused by the engine hot path
-                (ignored by non-inplace backends).
-            backend: Array backend; non-inplace backends take the pure
-                functional twin (same ops, same order).
+            out: Optional output buffer reused by the engine hot path.
         """
-        backend = get_backend(backend)
-        if not backend.inplace:
-            xp = backend.xp
-            return xp.maximum((self.sink_c - ambient_c) / r_ext, 0.0)
         heat = np.subtract(self.sink_c, ambient_c, out=out)
         heat /= r_ext
         return np.maximum(heat, 0.0, out=heat)

@@ -22,52 +22,73 @@ ad-hoc thermal studies in downstream code.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Optional, Tuple
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
-from ..backend.numpy_backend import HAVE_SCIPY  # noqa: F401  (monkeypatchable)
+import numpy as np
+
 from ..errors import ThermalModelError
+
+try:  # pragma: no cover - exercised implicitly on scipy installs
+    from scipy.linalg import lu_factor, lu_solve
+
+    HAVE_SCIPY = True
+except ImportError:  # pragma: no cover - scipy-less fallback
+    lu_factor = lu_solve = None
+    HAVE_SCIPY = False
 
 
 class FactorizedSystem:
     """A dense linear system ``A @ x = b`` factorized once, solved often.
 
-    A thin facade over :meth:`repro.backend.ArrayBackend.factorize`.
-    The default numpy backend wraps scipy's LU factorization (LAPACK
-    ``getrf``/``getrs``) when scipy is available, so repeated solves
-    against new right-hand sides only pay the O(n^2) back-substitution;
-    without scipy each solve falls back to ``np.linalg.solve`` on the
-    retained matrix — correct, just not amortized.  The module-level
-    ``HAVE_SCIPY`` flag is read at construction time so tests can force
-    the fallback path.
+    Wraps scipy's LU factorization (LAPACK ``getrf``/``getrs``) when
+    scipy is available, so repeated solves against new right-hand sides
+    only pay the O(n^2) back-substitution.  Without scipy each solve
+    falls back to ``np.linalg.solve`` on the retained matrix — correct,
+    just not amortized.
 
     Exact singularity (a zero pivot — e.g. a free node with no path to
     any boundary) raises :class:`~repro.errors.ThermalModelError`; scipy
     merely warns and would hand back ``inf``/``nan`` temperatures.
 
     Raises:
-        ThermalModelError: at construction (LU path) or first solve
+        ThermalModelError: at construction (scipy) or first solve
             (fallback) if the matrix is exactly singular.
     """
 
-    __slots__ = ("matrix", "backend", "_solver")
+    __slots__ = ("matrix", "_lu_piv")
 
-    def __init__(
-        self, matrix: np.ndarray, backend: Optional[ArrayBackend] = None
-    ) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-        self.backend = get_backend(backend)
-        self._solver = self.backend.factorize(matrix, use_lapack=HAVE_SCIPY)
+        self._lu_piv = None
+        if HAVE_SCIPY and matrix.size:
+            with warnings.catch_warnings():
+                # scipy warns (LinAlgWarning) instead of raising on an
+                # exactly singular factorization; we raise below.
+                warnings.simplefilter("ignore")
+                lu, piv = lu_factor(matrix, check_finite=False)
+            if np.any(np.diagonal(lu) == 0.0):
+                raise ThermalModelError(
+                    "singular linear system: zero pivot in LU "
+                    "factorization"
+                )
+            self._lu_piv = (lu, piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for ``x`` given a right-hand side ``b``.
 
         Raises:
             ThermalModelError: if the system is singular (fallback path;
-                the LU path raises at construction instead).
+                the scipy path raises at construction instead).
         """
-        return self._solver.solve(rhs)
+        if self._lu_piv is not None:
+            return lu_solve(self._lu_piv, rhs, check_finite=False)
+        try:
+            return np.linalg.solve(self.matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ThermalModelError(
+                "singular linear system: zero pivot in LU factorization"
+            ) from exc
 
 
 class ThermalNetwork:
@@ -77,8 +98,7 @@ class ThermalNetwork:
     adding the same edge twice accumulates conductance (parallel paths).
     """
 
-    def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
-        self._backend = get_backend(backend)
+    def __init__(self) -> None:
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
         self._edges: List[Tuple[int, int, float]] = []
@@ -156,9 +176,7 @@ class ThermalNetwork:
         system: Optional[FactorizedSystem] = None
         if free:
             try:
-                system = FactorizedSystem(
-                    conductance[np.ix_(free, free)], backend=self._backend
-                )
+                system = FactorizedSystem(conductance[np.ix_(free, free)])
             except ThermalModelError as exc:
                 raise ThermalModelError(
                     "singular thermal network: a free node is not "

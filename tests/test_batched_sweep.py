@@ -1,25 +1,19 @@
 """Batched fleet-tensor sweep evaluator vs the per-point serial path.
 
 ``repro.sim.batched`` stacks N decision-free sweep points over one
-topology into ``(N, n)`` fleet tensors.  Under the numpy backend the
-stacked evaluation must match the per-point serial kernels **bit for
-bit** — including the mixed 8-point sweep with per-point inlet
-overrides that the PR's acceptance criteria name.  The vmapped code
-path (the JAX shape) is driven here through the numpy backend's
-loop-and-stack ``vmap`` shim, so its structure is pinned without the
-optional dependency installed.
+topology into ``(N, n)`` fleet tensors.  The stacked evaluation must
+match the per-point serial kernels **bit for bit** — including a mixed
+8-point sweep with per-point inlet overrides.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend
 from repro.config.presets import smoke
 from repro.errors import SimulationError
 from repro.sim.batched import (
     FleetPoint,
     FleetSweepResult,
-    _steady_fleet_vmapped,
     evaluate_fleet,
     evaluate_fleet_serial,
 )
@@ -71,20 +65,6 @@ def test_mixed_eight_point_sweep_is_bit_identical(small_sut, params):
     _assert_bit_identical(serial, batched)
 
 
-def test_pure_twin_backend_is_bit_identical_too(small_sut, params):
-    serial = evaluate_fleet_serial(
-        small_sut, params, MIXED_POINTS, window_steps=256
-    )
-    batched = evaluate_fleet(
-        small_sut,
-        params,
-        MIXED_POINTS,
-        window_steps=256,
-        backend=NumpyBackend(inplace=False),
-    )
-    _assert_bit_identical(serial, batched)
-
-
 def test_zero_window_reports_inlet_equilibrium(small_sut, params):
     result = evaluate_fleet(
         small_sut, params, MIXED_POINTS[:3], window_steps=0
@@ -122,31 +102,6 @@ def test_field_accessor_matches_serial_solver(small_sut, params):
     )
     np.testing.assert_array_equal(field.chip_c, serial.chip_c[0])
     assert field.hottest_socket == int(np.argmax(serial.chip_c[0]))
-
-
-def test_vmapped_path_matches_serial_via_numpy_shim(small_sut, params):
-    """The JAX-shaped vmapped kernel, driven by the numpy vmap shim.
-
-    The shim loops point by point, so even the coupling matvec stays
-    dgemv — the vmapped structure is bit-identical under numpy.
-    """
-    backend = NumpyBackend(inplace=False)
-    util = np.array([p.utilization for p in MIXED_POINTS])
-    dyn = np.array([p.dyn_max_w for p in MIXED_POINTS])
-    inlet = np.array(
-        [
-            params.inlet_c if p.inlet_c is None else p.inlet_c
-            for p in MIXED_POINTS
-        ]
-    )
-    power, ambient, sink, chip = _steady_fleet_vmapped(
-        small_sut, params, util, dyn, inlet, backend
-    )
-    serial = evaluate_fleet_serial(small_sut, params, MIXED_POINTS)
-    np.testing.assert_array_equal(power, serial.power_w)
-    np.testing.assert_array_equal(ambient, serial.ambient_c)
-    np.testing.assert_array_equal(sink, serial.sink_c)
-    np.testing.assert_array_equal(chip, serial.chip_c)
 
 
 def test_point_validation():

@@ -280,7 +280,6 @@ class _FlakyRunPoint:
         telemetry=None,
         profile=False,
         point_key=None,
-        backend="numpy",
     ):
         from repro.core import get_scheduler
         from repro.sim.runner import run_once
@@ -308,7 +307,6 @@ class _FlakyRunPoint:
             fault_schedule=fault_schedule,
             telemetry=telemetry,
             profile=profile,
-            backend=backend,
         )
 
 

@@ -38,7 +38,6 @@ from repro.core.prediction import (
     predict_job_powers,
     predicted_job_power,
 )
-from repro.core.predictive import Predictive
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
 from repro.workloads.arrivals import ArrivalProcess

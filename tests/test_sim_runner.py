@@ -90,7 +90,7 @@ class TestRunSweep:
 class TestRemovedEngineForks:
     """Only the fixed-step engine remains; the old selectors are guards."""
 
-    def test_fixed_stepping_is_accepted(self, small_sut):
+    def test_remaining_engine_path_is_accepted(self, small_sut):
         results = run_sweep(
             small_sut,
             smoke(),
@@ -98,6 +98,7 @@ class TestRemovedEngineForks:
             [BenchmarkSet.COMPUTATION],
             [0.5],
             stepping="fixed",
+            backend="numpy",
         )
         assert len(results) == 1
 
@@ -112,9 +113,25 @@ class TestRemovedEngineForks:
                 stepping="adaptive",
             )
 
-    def test_experiment_config_stepping_is_a_constant(self):
+    def test_jax_backend_names_the_removal(self, small_sut):
+        with pytest.raises(ConfigurationError, match="seam was removed"):
+            run_sweep(
+                small_sut,
+                smoke(),
+                ["CF"],
+                [BenchmarkSet.COMPUTATION],
+                [0.5],
+                backend="jax",
+            )
+
+    def test_experiment_config_selectors_are_constants(self, monkeypatch):
         from repro.experiments.common import ExperimentConfig
 
-        assert ExperimentConfig.stepping == "fixed"
+        monkeypatch.setenv("REPRO_STEPPING", "adaptive")
+        monkeypatch.setenv("REPRO_BACKEND", "jax")
+        config = ExperimentConfig()
+        assert (config.stepping, config.backend) == ("fixed", "numpy")
         with pytest.raises(TypeError):
             ExperimentConfig(stepping="adaptive")
+        with pytest.raises(TypeError):
+            ExperimentConfig(backend="jax")
