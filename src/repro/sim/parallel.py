@@ -399,14 +399,18 @@ def execute_sweep(
                 *point,
                 fault_schedule=fault_schedule,
             )
+        # A stored result without a profile cannot serve a profiled
+        # request: the point re-runs and its entries are overwritten.
         if cache is not None:
             hit = cache.get(keys[i])
-            if hit is not None:
+            if hit is not None and (hit.profile is not None or not profile):
                 results[i] = hit
                 continue
         if checkpoint is not None:
             loaded = checkpoint.load(keys[i])
-            if loaded is not None:
+            if loaded is not None and (
+                loaded.profile is not None or not profile
+            ):
                 results[i] = loaded
                 if cache is not None:
                     cache.put(keys[i], loaded)

@@ -115,6 +115,47 @@ class TestSweepCache:
         finally:
             parallel.clear_shared_cache()
 
+    def test_profiled_sweep_is_not_served_an_unprofiled_hit(self):
+        """A profile request re-runs a point cached without a profile
+        and overwrites the entry; the trajectory is unchanged."""
+        from repro.experiments.common import ExperimentConfig
+        from repro.sim.fingerprint import result_fingerprint
+
+        point = ("CF", BenchmarkSet.COMPUTATION, 0.5)
+        grid = (("CF",), (BenchmarkSet.COMPUTATION,), (0.5,))
+        scale = dict(n_rows=1, sim_time_s=1.5, warmup_s=0.5)
+        parallel.clear_shared_cache()
+        try:
+            plain = ExperimentConfig(**scale).sweep(*grid)[point]
+            profiled = ExperimentConfig(**scale, profile=True).sweep(
+                *grid
+            )[point]
+            assert plain.profile is None
+            assert profiled.profile is not None
+            assert result_fingerprint(profiled) == result_fingerprint(
+                plain
+            )
+            # The profiled entry replaced the plain one and serves both.
+            assert ExperimentConfig(**scale).sweep(*grid)[point] is profiled
+            assert len(parallel.shared_cache) == 1
+        finally:
+            parallel.clear_shared_cache()
+
+    def test_profiled_resume_reruns_unprofiled_checkpoint(
+        self, small_sut, tmp_path
+    ):
+        grid = dict(
+            scheduler_names=("CF",),
+            benchmark_sets=(BenchmarkSet.COMPUTATION,),
+            loads=(0.5,),
+        )
+        params = smoke(seed=6)
+        run_sweep(small_sut, params, **grid, checkpoint_dir=tmp_path)
+        (result,) = run_sweep(
+            small_sut, params, **grid, checkpoint_dir=tmp_path, profile=True
+        ).values()
+        assert result.profile is not None
+
     def test_default_sweep_does_not_populate_shared_cache(
         self, small_sut
     ):
