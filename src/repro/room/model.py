@@ -338,7 +338,7 @@ def solve_room(
         divergence_limit_c: Residual above which the solve aborts as
             divergent without spending the rest of the budget.
         mode: ``"batched"`` (fleet-tensor, default) or ``"serial"``
-            (per-chassis reference loop); bit-identical.
+            (per-chassis reference loop); the two are bit-identical.
         emit: Optional sink for ``room_*`` telemetry events (already
             validated dicts, e.g. ``JsonlWriter.emit``).
 

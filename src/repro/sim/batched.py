@@ -141,7 +141,8 @@ def evaluate_fleet_serial(
     Runs each point independently through the exact historical entry
     points (:func:`~repro.sim.steady_state.solve_steady_state`, the
     steady DVFS selector, the closed-form window advance) and stacks
-    the results.  :func:`evaluate_fleet` must match this bit for bit — it is the batched evaluator's oracle.
+    the results.  :func:`evaluate_fleet` must match this bit for bit —
+    it is the batched evaluator's oracle.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")

@@ -35,9 +35,9 @@ def test_goldens_cover_the_oracle_matrix():
 @pytest.mark.parametrize(
     "scheme,benchmark_set,load",
     SCHEDULER_CONFIGS,
-    ids=[scheduler_id(*c) for c in SCHEDULER_CONFIGS],
+    ids=[scheduler_id(*c).split(":", 1)[1] for c in SCHEDULER_CONFIGS],
 )
-def test_default_run_matches_golden(small_sut, scheme, benchmark_set, load):
+def test_default_run(small_sut, scheme, benchmark_set, load):
     result = run_point(small_sut, get_scheduler(scheme), benchmark_set, load)
     assert result.profile is None
     assert result.fault_summary is None
@@ -46,11 +46,11 @@ def test_default_run_matches_golden(small_sut, scheme, benchmark_set, load):
     )
 
 
-TOGGLES = ("empty-faults", "telemetry", "profile")
+TOGGLES = ("faults", "telemetry", "profile")
 
 
 def _toggle_kwargs(toggle, directory):
-    if toggle == "empty-faults":
+    if toggle == "faults":
         return {"fault_schedule": FaultSchedule()}
     if toggle == "telemetry":
         return {
@@ -61,14 +61,14 @@ def _toggle_kwargs(toggle, directory):
     return {"profile": True}
 
 
-@pytest.mark.parametrize("toggle", TOGGLES)
 @pytest.mark.parametrize(
     "policy,kwargs,benchmark_set,load",
     POLICY_CONFIGS,
-    ids=[policy_id(*c) for c in POLICY_CONFIGS],
+    ids=[policy_id(*c).split(":", 1)[1] for c in POLICY_CONFIGS],
 )
-def test_toggle_matches_golden(
-    tmp_path, small_sut, policy, kwargs, benchmark_set, load, toggle
+@pytest.mark.parametrize("toggle", TOGGLES)
+def test_toggle(
+    tmp_path, small_sut, toggle, policy, kwargs, benchmark_set, load
 ):
     result = run_point(
         small_sut,
