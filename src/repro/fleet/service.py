@@ -2,11 +2,22 @@
 
 :class:`FleetService` owns a
 :class:`~repro.fleet.coordinator.FleetCoordinator` over real
-:class:`~repro.fleet.worker.ProcessWorkerHandle` workers and drives it
-with wall-clock ticks on the event loop.  All determinism-sensitive
-logic lives in the coordinator; this module only supplies time, process
-transport and an optional JSON-lines TCP front end (``repro fleet
-serve`` / ``repro fleet query``).
+:class:`~repro.fleet.worker.ProcessWorkerHandle` workers and ticks it
+when something happens, not on a fixed cadence:
+
+- a submitted query ticks the coordinator at once, so it is dispatched
+  without waiting;
+- each worker's pipe is watched with ``loop.add_reader``; a ready pipe
+  ticks the coordinator, which drains the answer and dispatches the
+  next queued work;
+- one timer fires just past the coordinator's
+  :meth:`~repro.fleet.coordinator.FleetCoordinator.next_deadline`
+  (timeouts, retry eligibility, batch windows, heartbeat and restart
+  deadlines) and is re-armed after every tick.
+
+All determinism-sensitive logic lives in the coordinator; this module
+only supplies time, process transport and an optional JSON-lines TCP
+front end (``repro fleet serve`` / ``repro fleet query``).
 
 Wire protocol (one JSON object per line, newline-terminated)::
 
@@ -24,6 +35,7 @@ Backpressure is visible on the wire: a shed request answers with
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from typing import Dict, Optional
@@ -39,6 +51,11 @@ from .messages import (
 from .registry import FleetRegistry
 from .supervision import SupervisionPolicy
 from .worker import ProcessWorkerHandle
+
+#: How far past a coordinator deadline its timer fires: timeouts trip
+#: strictly after their instant, so a tick exactly at one changes
+#: nothing and would re-arm the same timer.
+DEADLINE_SLACK_S = 0.001
 
 
 def _request_class(obj: dict, default: RequestClass) -> RequestClass:
@@ -117,10 +134,7 @@ class FleetService:
         config: Optional[FleetConfig] = None,
         checkpoint_dir: Optional[str] = None,
         session=None,
-        tick_interval_s: float = 0.05,
     ) -> None:
-        if tick_interval_s <= 0:
-            raise FleetError("tick interval must be positive")
         self.registry = registry
         self.policy = policy or SupervisionPolicy()
         # Long-running service: heartbeat events would dominate the
@@ -128,11 +142,11 @@ class FleetService:
         self.config = config or FleetConfig(log_heartbeats=False)
         self.checkpoint_dir = checkpoint_dir
         self.session = session
-        self.tick_interval_s = tick_interval_s
         self.coordinator: Optional[FleetCoordinator] = None
         self._epoch: Optional[float] = None
-        self._tick_task: Optional[asyncio.Task] = None
-        self._waiters: Dict[int, asyncio.Future] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._readers: Dict[str, int] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
 
     def _now(self) -> float:
         if self._epoch is None:
@@ -140,9 +154,10 @@ class FleetService:
         return time.monotonic() - self._epoch
 
     async def start(self) -> None:
-        """Start workers and the background tick loop."""
+        """Start the workers and watch their pipes."""
         if self.coordinator is not None:
             raise FleetError("service already started")
+        self._loop = asyncio.get_running_loop()
         self._epoch = time.monotonic()
         handles = {
             w.worker_id: ProcessWorkerHandle(
@@ -150,6 +165,7 @@ class FleetService:
                 worker_id=w.worker_id,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
                 checkpoint_dir=self.checkpoint_dir,
+                on_pipe=functools.partial(self._watch, w.worker_id),
             )
             for w in self.registry.workers
         }
@@ -161,37 +177,52 @@ class FleetService:
             session=self.session,
         )
         self.coordinator.start(self._now())
-        self._tick_task = asyncio.ensure_future(self._tick_loop())
+        self._tick()
 
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_interval_s)
-            self.coordinator.tick(self._now())
+    def _watch(self, worker_id: str, fd: Optional[int]) -> None:
+        """Point the worker's pipe reader at ``fd`` (``None``: drop it)."""
+        old = self._readers.pop(worker_id, None)
+        if old is not None:
+            self._loop.remove_reader(old)
+        if fd is not None:
+            self._loop.add_reader(fd, self._tick)
+            self._readers[worker_id] = fd
+
+    def _tick(self) -> None:
+        now = self._now()
+        self.coordinator.tick(now)
+        if self._timer is not None:
+            self._timer.cancel()
+        deadline = self.coordinator.next_deadline()
+        self._timer = (
+            None
+            if deadline is None
+            else self._loop.call_later(
+                deadline + DEADLINE_SLACK_S - now, self._tick
+            )
+        )
 
     async def submit(self, query) -> FleetAnswer:
         """Admit one query and await its terminal answer."""
         if self.coordinator is None:
             raise FleetError("service not started")
-        loop = asyncio.get_event_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = self._loop.create_future()
 
         def resolve(answer: FleetAnswer) -> None:
             if not future.done():
                 future.set_result(answer)
 
         self.coordinator.submit(query, self._now(), callback=resolve)
+        self._tick()
         return await future
 
     async def stop(self) -> None:
         """Resolve stragglers, stop workers, close the log."""
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         if self.coordinator is not None:
+            # Stopping each worker drops its pipe reader.
             self.coordinator.finish(self._now())
         if self.session is not None:
             self.session.close()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import CheckpointCorruptionError
 from ..sim.checkpoint import SweepCheckpoint
@@ -32,6 +32,12 @@ from .compute import (
 )
 from .messages import QueryBatch
 from .registry import ChassisSpec
+
+
+#: How long to wait for an exiting worker: after SIGTERM in
+#: :meth:`ProcessWorkerHandle.stop` (then it is killed), and after its
+#: pipe reaches EOF in :meth:`ProcessWorkerHandle.poll`.
+STOP_GRACE_S = 0.1
 
 
 def snapshot_key(worker_id: str) -> str:
@@ -145,6 +151,11 @@ class ProcessWorkerHandle:
     Satisfies the :class:`~repro.fleet.coordinator.WorkerHandle`
     protocol.  ``start`` returns ``None`` — the cold-recovery flag
     arrives asynchronously in the worker's ``hello``.
+
+    ``on_pipe``, when given, is called with :attr:`pipe_fd` whenever it
+    changes: with the new fd after a start, and with ``None`` at EOF
+    and just before a stop closes the pipe.  An event loop uses it to
+    watch the pipe for readiness.
     """
 
     def __init__(
@@ -154,15 +165,46 @@ class ProcessWorkerHandle:
         heartbeat_interval_s: float,
         checkpoint_dir: Optional[str] = None,
         warm_capacity: int = WARM_FIELD_CACHE_MAX,
+        on_pipe: Optional[Callable[[Optional[int]], None]] = None,
     ) -> None:
         self.spec = spec
         self.worker_id = worker_id
         self.heartbeat_interval_s = heartbeat_interval_s
         self.checkpoint_dir = checkpoint_dir
         self.warm_capacity = warm_capacity
+        self.on_pipe = on_pipe
         self._proc: Optional[multiprocessing.Process] = None
         self._conn = None
+        self._eof = True  # no live pipe: nothing to read
         self._exit_reported = False
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The worker's process id, or ``None`` with no worker running."""
+        return None if self._proc is None else self._proc.pid
+
+    @property
+    def pipe_fd(self) -> Optional[int]:
+        """The fd to watch for worker messages, or ``None``.
+
+        ``None`` with no worker running, and also once the pipe is at
+        EOF: a pipe whose worker died reads as ready forever, so it
+        stops being worth watching before it is closed.
+        """
+        if self._conn is None or self._eof:
+            return None
+        return self._conn.fileno()
+
+    def _set_eof(self, eof: bool) -> None:
+        # Called while the old fd is still open: a forked sibling
+        # worker may hold a copy of it, so a watcher told only after
+        # the close could be left watching a file it can no longer
+        # unregister.
+        if eof == self._eof:
+            return
+        self._eof = eof
+        if self.on_pipe is not None:
+            self.on_pipe(self.pipe_fd)
 
     def _context(self):
         methods = multiprocessing.get_all_start_methods()
@@ -190,13 +232,19 @@ class ProcessWorkerHandle:
         )
         self._proc.start()
         child.close()
+        self._set_eof(False)
         return None
 
     def stop(self, now: float) -> None:
         if self._proc is not None and self._proc.is_alive():
             self._proc.terminate()
-            self._proc.join(timeout=2.0)
+            self._proc.join(timeout=STOP_GRACE_S)
+            if self._proc.exitcode is None:
+                # A stopped (SIGSTOP) process holds SIGTERM pending.
+                self._proc.kill()
+                self._proc.join()
         if self._conn is not None:
+            self._set_eof(True)
             try:
                 self._conn.close()
             except OSError:  # pragma: no cover - close race
@@ -222,12 +270,16 @@ class ProcessWorkerHandle:
 
     def poll(self, now: float) -> List[Tuple]:
         messages: List[Tuple] = []
-        if self._conn is not None:
+        if self._conn is not None and not self._eof:
             try:
                 while self._conn.poll(0):
                     messages.append(self._conn.recv())
             except (EOFError, BrokenPipeError, OSError):
-                pass
+                self._set_eof(True)
+                if self._proc is not None:
+                    # The worker's end closes only as it exits: reap
+                    # it so the exit is reported with the EOF.
+                    self._proc.join(timeout=STOP_GRACE_S)
         if (
             self._proc is not None
             and self._proc.exitcode is not None

@@ -26,6 +26,7 @@ class ScriptedHandle:
         self.worker_id = worker_id
         self.cold_on_start = cold_on_start
         self.sent = []
+        self.batches = []
         self.inbox = []
         self.starts = 0
         self.stops = 0
@@ -39,6 +40,9 @@ class ScriptedHandle:
 
     def send(self, request_id, query, now):
         self.sent.append((request_id, query, now))
+
+    def send_batch(self, batch, now):
+        self.batches.append((batch, now))
 
     def poll(self, now):
         messages, self.inbox = self.inbox, []
@@ -409,3 +413,185 @@ class TestLifecycle:
         ]
         assert restarts[-1]["cold"] is True
         assert handles["w0"].starts == 2  # initial + restart
+
+
+EPS = 1e-6
+
+
+def tick_around_deadline(coordinator):
+    """Tick just before, then just past, ``next_deadline()``.
+
+    Returns the deadline and the events each of the two ticks emitted.
+    """
+    deadline = coordinator.next_deadline()
+    mark = len(coordinator.events)
+    coordinator.tick(deadline - EPS)
+    before = coordinator.events[mark:]
+    mark = len(coordinator.events)
+    coordinator.tick(deadline + EPS)
+    return deadline, before, coordinator.events[mark:]
+
+
+def state_changes(events):
+    return [
+        (e["worker"], e["old"], e["new"])
+        for e in events
+        if e["type"] == "fleet_worker_state"
+    ]
+
+
+class TestNextDeadline:
+    """Virtual-time checks that ``next_deadline()`` names each timer.
+
+    ``make_fleet`` supervises with a 2 s heartbeat deadline (1 s beats,
+    2 missed), so a STARTING worker's grace ends at 4 s.
+    """
+
+    def test_idle_fleet_reports_the_supervision_deadline(self):
+        coordinator, handles = make_fleet()
+        assert coordinator.next_deadline() == pytest.approx(4.0)
+        handles["w0"].inbox.append(("heartbeat", 0))
+        coordinator.tick(0.5)
+        assert coordinator.pending == 0
+        assert coordinator.next_deadline() == pytest.approx(2.5)
+
+    def test_request_timeout(self):
+        coordinator, _ = make_fleet(
+            request_timeout_s=1.0, max_attempts=1
+        )
+        rid = coordinator.submit(query(), 0.0)
+        coordinator.tick(0.0)
+        deadline, before, after = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(1.0)
+        assert before == []
+        assert [e["type"] for e in after] == ["fleet_answer"]
+        assert "retries_exhausted" in coordinator.answers[rid].reason
+
+    def test_queue_timeout(self):
+        coordinator, _ = make_fleet(
+            max_inflight_per_worker=1,
+            queue_timeout_s=2.0,
+            request_timeout_s=5.0,
+        )
+        coordinator.submit(query(), 0.0)
+        coordinator.tick(0.0)
+        waiter = coordinator.submit(query(), 0.1)
+        coordinator.tick(0.1)
+        deadline, before, after = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(2.1)
+        assert before == []
+        assert [e["request_id"] for e in after] == [waiter]
+        assert "queue_timeout" in coordinator.answers[waiter].reason
+
+    def test_retry_jitter(self):
+        coordinator, handles = make_fleet(
+            replicas=1,
+            request_timeout_s=1.0,
+            retry_jitter_s=0.3,
+        )
+        rid = coordinator.submit(query(), 0.0)
+        coordinator.tick(0.0)
+        coordinator.tick(1.0 + EPS)  # w0 timed out: retry w1 later
+        (retry,) = coordinator.queue
+        assert retry.not_before > 1.0 + EPS
+        assert coordinator.next_deadline() == retry.not_before
+        coordinator.tick(retry.not_before - EPS)
+        assert handles["w1"].sent == []
+        coordinator.tick(retry.not_before + EPS)
+        assert [s[0] for s in handles["w1"].sent] == [rid]
+
+    def test_work_waiting_on_capacity_sets_no_timer(self):
+        coordinator, _ = make_fleet(max_inflight_per_worker=1)
+        coordinator.submit(query(), 0.0)
+        coordinator.tick(0.0)
+        coordinator.submit(query(), 0.1)
+        coordinator.tick(0.1)
+        # The waiter was eligible at 0.1 and now waits for the
+        # worker's one slot, which only an answer frees: the next
+        # timer is the worker's STARTING grace, not an instant past.
+        assert len(coordinator.queue) == 1
+        assert coordinator.next_deadline() == pytest.approx(4.0)
+
+    def test_batch_window(self):
+        coordinator, handles = make_fleet(
+            batch_window_s=0.5, max_batch=4
+        )
+        coordinator.submit(query(), 0.2)
+        coordinator.tick(0.2)
+        deadline, before, _ = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(0.7)
+        assert len(handles["w0"].batches) == 1
+        batch, sent_t = handles["w0"].batches[0]
+        assert sent_t == pytest.approx(0.7 + EPS)
+        assert len(batch) == 1
+
+    def test_heartbeat_suspect_dead_worker_and_restart_backoff(self):
+        coordinator, handles = make_fleet()
+        handles["w0"].inbox.append(("heartbeat", 0))
+        coordinator.tick(0.5)
+
+        deadline, before, after = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(2.5)  # heartbeat deadline
+        assert state_changes(before) == []
+        assert state_changes(after) == [("w0", "healthy", "suspect")]
+
+        deadline, before, after = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(4.5)  # twice the deadline
+        assert state_changes(before) == []
+        assert state_changes(after) == [("w0", "suspect", "restarting")]
+        assert handles["w0"].stops == 1
+
+        starts = handles["w0"].starts
+        deadline, before, after = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(4.5 + EPS + 0.5)  # backoff
+        assert before == []
+        assert [e["type"] for e in after] == [
+            "fleet_restart",
+            "fleet_worker_state",
+        ]
+        assert handles["w0"].starts == starts + 1
+
+    def test_quarantined_idle_fleet_has_no_deadline(self):
+        coordinator, handles = make_fleet()
+        handles["w0"].inbox.append(("exit",))
+        coordinator.tick(0.0)
+        assert coordinator.next_deadline() == pytest.approx(0.5)
+        coordinator.tick(0.5)  # restarted (budget: one restart)
+        handles["w0"].inbox.append(("exit",))
+        coordinator.tick(0.6)
+        assert coordinator.worker_states() == {"w0": "quarantined"}
+        assert coordinator.next_deadline() is None
+
+
+class TestProcessStyleRestart:
+    """A handle whose cold flag arrives later, in a ``hello``."""
+
+    def restarted(self):
+        coordinator, handles = make_fleet()
+        handles["w0"].cold_on_start = None
+        handles["w0"].inbox.append(("exit",))
+        coordinator.tick(0.0)
+        coordinator.tick(0.5)  # backoff over: restart, await hello
+        assert handles["w0"].starts == 2
+        return coordinator, handles
+
+    def test_restart_runs_once_while_awaiting_hello(self):
+        coordinator, handles = self.restarted()
+        # The STARTING grace applies from the restart.
+        assert coordinator.next_deadline() == pytest.approx(4.5)
+        for now in (0.6, 2.0, 4.5):
+            coordinator.tick(now)
+        assert handles["w0"].starts == 2
+        handles["w0"].inbox.append(("hello", False))
+        coordinator.tick(4.5)
+        assert coordinator.worker_states() == {"w0": "starting"}
+        assert coordinator.events[-2]["type"] == "fleet_restart"
+
+    def test_silent_restart_is_retried_after_the_grace(self):
+        coordinator, handles = self.restarted()
+        deadline, _, _ = tick_around_deadline(coordinator)
+        assert deadline == pytest.approx(4.5)
+        assert handles["w0"].starts == 3
+        assert coordinator.next_deadline() == pytest.approx(
+            4.5 + EPS + 4.0
+        )

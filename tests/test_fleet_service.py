@@ -1,7 +1,11 @@
 """Process-worker and asyncio service tests (real time, real pipes)."""
 
 import asyncio
+import json
 import multiprocessing
+import os
+import signal
+import statistics
 import threading
 import time
 
@@ -52,6 +56,21 @@ def drain(conn, timeout_s=10.0, until=None):
             if until is not None and until(messages[-1]):
                 return messages
     raise AssertionError(f"timed out; got {messages}")
+
+
+def wait_stopped(pid, timeout_s=5.0):
+    """Wait until ``pid`` is in the stopped (``T``) state."""
+    stat = f"/proc/{pid}/stat"
+    if not os.path.exists(stat):
+        time.sleep(0.2)
+        return
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        with open(stat) as handle:
+            if handle.read().rsplit(")", 1)[1].split()[0] == "T":
+                return
+        time.sleep(0.005)
+    raise AssertionError(f"process {pid} never stopped")
 
 
 class TestWorkerMain:
@@ -167,6 +186,63 @@ class TestProcessWorkerHandle:
         assert handle.poll(0.0) == []
 
 
+    def await_message(self, handle, kind, timeout_s=10.0):
+        messages = []
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            messages.extend(handle.poll(0.0))
+            if any(m[0] == kind for m in messages):
+                return messages
+            time.sleep(0.01)
+        raise AssertionError(f"no {kind!r} message; got {messages}")
+
+    def test_stop_kills_a_stopped_worker_promptly(self):
+        handle = ProcessWorkerHandle(
+            spec=SPEC, worker_id="c0-w0", heartbeat_interval_s=0.2
+        )
+        handle.start(0.0)
+        pid = handle.pid
+        try:
+            self.await_message(handle, "hello")
+            os.kill(pid, signal.SIGSTOP)
+            wait_stopped(pid)
+            t0 = time.monotonic()
+            handle.stop(0.0)
+            elapsed = time.monotonic() - t0
+            # Reaped: the pid is gone, not a zombie or a stopped child.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+            assert elapsed < 0.5
+        finally:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def test_eof_reports_exit_once_and_drops_the_pipe(self):
+        seen = []
+        handle = ProcessWorkerHandle(
+            spec=SPEC,
+            worker_id="c0-w0",
+            heartbeat_interval_s=0.2,
+            on_pipe=seen.append,
+        )
+        handle.start(0.0)
+        try:
+            assert seen == [handle.pipe_fd] and seen[0] is not None
+            self.await_message(handle, "hello")
+            os.kill(handle.pid, signal.SIGKILL)
+            messages = self.await_message(handle, "exit")
+            assert messages[-1] == ("exit",)
+            assert handle.pipe_fd is None
+            assert seen[1:] == [None]
+            # An EOF pipe reads as ready forever; poll must not.
+            assert handle.poll(0.0) == []
+        finally:
+            handle.stop(0.0)
+        assert seen[1:] == [None]
+
+
 class TestQueryFromJson:
     def test_placement_parsed(self):
         query = query_from_json(
@@ -218,7 +294,6 @@ class TestFleetService:
                     queue_timeout_s=30.0,
                     log_heartbeats=False,
                 ),
-                tick_interval_s=0.02,
             )
             server = await service.serve(host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
@@ -255,7 +330,6 @@ class TestFleetService:
                     queue_timeout_s=30.0,
                     log_heartbeats=False,
                 ),
-                tick_interval_s=0.02,
             )
             await service.start()
             try:
@@ -270,3 +344,56 @@ class TestFleetService:
 
         answer = asyncio.run(scenario())
         assert answer.status.value == "ok"
+
+    def test_sequential_latency_is_not_tick_bound(self):
+        """20 placements over one connection answer at p50 < 20 ms.
+
+        The heartbeat is slow (5 s), so heartbeats do not wake the
+        service: answers must be dispatched on submit and drained when
+        the worker pipe turns readable, not on a polling cadence.
+        """
+
+        async def scenario():
+            service = FleetService(
+                REGISTRY,
+                policy=SupervisionPolicy(heartbeat_interval_s=5.0),
+                config=FleetConfig(log_heartbeats=False),
+            )
+            server = await service.serve(host="127.0.0.1", port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+
+            async def place(power):
+                writer.write(
+                    json.dumps(
+                        {
+                            "kind": "placement",
+                            "chassis": "c0",
+                            "job_power_w": power,
+                        }
+                    ).encode()
+                    + b"\n"
+                )
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 30.0)
+                return json.loads(line)
+
+            latencies = []
+            try:
+                assert (await place(5.0))["status"] == "ok"  # warm-up
+                for k in range(20):
+                    t0 = time.perf_counter()
+                    answer = await place(4.0 + 0.5 * k)
+                    latencies.append(time.perf_counter() - t0)
+                    assert answer["status"] == "ok"
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+            return latencies
+
+        latencies = asyncio.run(scenario())
+        assert statistics.median(latencies) < 0.020
