@@ -245,6 +245,18 @@ class WorkerSupervisor:
                 return True
         return False
 
+    def next_deadline(self) -> Optional[float]:
+        """The instant past which :meth:`check` or :meth:`due_restart`
+        acts on its own; ``None`` once quarantined."""
+        deadline = self.policy.heartbeat_deadline_s
+        if self.state is WorkerState.HEALTHY:
+            return self.last_heartbeat_t + deadline
+        if self.state is WorkerState.SUSPECT:
+            return self.last_heartbeat_t + 2 * deadline
+        if self.state is WorkerState.STARTING:
+            return self.started_t + 2 * deadline
+        return self.next_restart_t
+
     # -- restart lifecycle ----------------------------------------------
 
     def _schedule_restart(self, now: float) -> None:
