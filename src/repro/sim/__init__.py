@@ -34,14 +34,25 @@ and auditor enforce graceful degradation; see
 
 All per-socket quantities are numpy arrays — batched over the DVFS
 ladder inside the power manager — so a step costs a fixed handful of
-vector operations regardless of socket count.
+vector operations regardless of socket count.  The engine steps a
+*batch* of points in lockstep (:func:`run_lockstep`; a sweep's serial
+path runs all its points as one): phases 1–3 and 9 run per point,
+phases 4–8 once per step over ``(K, n)`` slabs holding every point's
+state as rows, so the physics cost per step does not grow with the
+number of points.  :meth:`Simulation.run` is the batch of one.
 """
 
 from .state import SimulationState
 from .view import SchedulerView
 from .power_manager import select_frequencies, predicted_chip_temperature
-from .engine import Engine, Simulation
-from .pipeline import EngineContext, StepComponent, build_pipeline
+from .engine import Engine, Simulation, run_lockstep
+from .pipeline import (
+    BatchPhase,
+    EngineContext,
+    LockstepBatch,
+    StepComponent,
+    build_pipeline,
+)
 from .invariants import InvariantAuditor, InvariantViolation
 from .results import SimulationResult
 from .runner import run_once, run_sweep
@@ -54,8 +65,10 @@ __all__ = [
     "SchedulerView",
     "select_frequencies",
     "predicted_chip_temperature",
+    "BatchPhase",
     "Engine",
     "EngineContext",
+    "LockstepBatch",
     "StepComponent",
     "build_pipeline",
     "Simulation",
@@ -67,6 +80,7 @@ __all__ = [
     "clear_shared_cache",
     "execute_sweep",
     "result_fingerprint",
+    "run_lockstep",
     "run_once",
     "run_sweep",
 ]

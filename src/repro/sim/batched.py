@@ -16,10 +16,12 @@ matrix–vector product, whose BLAS kernel (dgemv vs dgemm) may round
 differently when batched — is deliberately evaluated one point at a
 time through the exact serial entry point.
 
-Only decision-free math batches this way: scheduler placement decisions
-depend on job identity and history, so the full engine keeps its serial
-per-point form (see :mod:`repro.sim.parallel` for process-level
-parallelism there).
+The time-stepped engine batches sweeps the same way — it advances a
+sweep's points in lockstep over ``(K, n)`` slabs with the same per-row
+coupling product (:class:`repro.sim.pipeline.LockstepBatch`) — but
+placement decisions depend on job identity and history, so there its
+decision phases stay per point.  This module answers the
+decision-free questions without stepping at all.
 """
 
 from __future__ import annotations

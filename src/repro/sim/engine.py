@@ -1,181 +1,358 @@
-"""The time-stepped simulation engine.
+"""The lockstep simulation engine.
 
 The engine is a thin clock driver over the step pipeline defined in
-:mod:`repro.sim.pipeline`: a fixed-order list of
-:class:`~repro.sim.pipeline.StepComponent` objects, each advancing one
-concern (arrivals, placement, DVFS, thermals, …) against a shared
-:class:`~repro.sim.pipeline.EngineContext`.  :class:`Simulation` is the
-user-facing binding of a topology, parameters and a policy; it
-assembles the standard pipeline and delegates to :class:`Engine`.
+:mod:`repro.sim.pipeline`, and it drives a *batch* of K points at once.
+Each point brings its own :class:`~repro.sim.pipeline.EngineContext`
+and pipeline.  Per step the engine runs every point's decision phases
+(arrivals, faults, placement, migration) row by row, then each physics
+:class:`~repro.sim.pipeline.BatchPhase` once over the
+:class:`~repro.sim.pipeline.LockstepBatch` slabs, then every point's
+observers.  The physics call count per step is therefore independent
+of K, which is where a sweep's time went when each point stepped on
+its own.  :class:`Simulation` is the user-facing binding of a
+topology, parameters and a policy; :func:`run_lockstep` runs several
+of them together, and :meth:`Simulation.run` is the batch of one.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import List, Sequence
+import time
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..workloads.job import Job
-from .pipeline import EngineContext, StepComponent, build_pipeline
+from .pipeline import (
+    BatchPhase,
+    EngineContext,
+    LockstepBatch,
+    StepComponent,
+    build_pipeline,
+)
 from .results import SimulationResult
 
+#: One point's outcome: its result, or the exception that ended it.
+Outcome = Union[SimulationResult, Exception]
 
-@functools.lru_cache(maxsize=None)
-def _step_driver(n_components: int, instrumented: bool):
-    """Compile the step loop for an ``n``-component pipeline.
 
-    A generic inner loop over the hook list spends more on dispatch
-    and (when profiling) list indexing than on the hooks' bookkeeping
-    itself — measured ~1.8 us per step against ~0.25 us for an
-    unrolled body.  So, ``namedtuple``-style, we generate the unrolled
-    source for the exact component count and ``exec`` it once (cached
-    per count).  Both engine variants run through this template so
-    that profiled and unprofiled processes execute near-identical
-    code: the instrumented flavour only adds one chained
-    ``clock()``-and-accumulate per hook (timestamps are chained
-    between consecutive hooks rather than paired around each, halving
-    the clock reads).  The trajectory is bit-identical either way.
+class _Row:
+    """One point of a batch: its context and its pipeline in bands.
+
+    ``pre`` and ``post`` hold the per-point components before and
+    after the physics band, as ``(pipeline index, component)`` pairs;
+    ``totals`` accumulates their seconds by pipeline index.
     """
-    names = [f"h{i}" for i in range(n_components)]
-    args = "steps, ctx, state, dt, warmup, hooks"
-    if instrumented:
-        args += ", clock, totals"
-    lines = [
-        f"def _driver({args}):",
-        f"    {', '.join(names)}{',' if n_components == 1 else ''} = hooks",
-    ]
-    if instrumented:
-        accs = [f"a{i}" for i in range(n_components)]
-        lines.append(f"    {' = '.join(accs)} = 0.0")
-    lines += [
-        "    for step in steps:",
-        "        t = step * dt",
-        "        ctx.step = step",
-        "        ctx.time_s = t",
-        "        state.time_s = t",
-        "        ctx.in_window = t >= warmup",
-    ]
-    if instrumented:
-        lines.append("        prev = clock()")
-    for i in range(n_components):
-        lines.append(f"        h{i}(ctx)")
-        if instrumented:
-            lines += [
-                "        now = clock()",
-                f"        a{i} += now - prev",
-                "        prev = now",
-            ]
-    if instrumented:
-        lines.append(
-            "    "
-            + "; ".join(
-                f"totals[{i}] += a{i}" for i in range(n_components)
+
+    def __init__(self, k: int, ctx: EngineContext) -> None:
+        components = list(ctx.components)
+        if not components:
+            raise SimulationError("engine needs at least one component")
+        band = [
+            i for i, c in enumerate(components) if isinstance(c, BatchPhase)
+        ]
+        first = band[0] if band else len(components)
+        end = first + len(band)
+        if band and band[-1] != end - 1:
+            raise SimulationError(
+                "the physics phases of a pipeline must form one "
+                "contiguous band"
             )
-        )
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - static template
-    return namespace["_driver"]
+        indexed = list(enumerate(components))
+        self.k = k
+        self.ctx = ctx
+        self.components = components
+        self.first = first
+        self.phases = components[first:end]
+        self.pre = indexed[:first]
+        self.post = indexed[end:]
+        self.totals = [0.0] * len(components)
+        self.error: "Exception | None" = None
+
+
+class _Live:
+    """The rows still running, and the step loops' lists built from them.
+
+    ``pre`` and ``post`` pair each row with its band's ``on_step``
+    hooks (as ``(index, hook)`` pairs when ``timed``).
+    """
+
+    def __init__(self, rows: List[_Row], batch, timed: bool) -> None:
+        self.batch = batch
+        self.rows = rows
+        self.timed = timed
+        self.rebuild()
+
+    def rebuild(self) -> bool:
+        """Drop failed rows; returns whether any row is left."""
+        self.rows = [row for row in self.rows if row.error is None]
+        self.failed = False
+        self.clocks = [(row.ctx, row.ctx.state) for row in self.rows]
+        self.pre = self._hooks("pre")
+        self.post = self._hooks("post")
+        return bool(self.rows)
+
+    def _hooks(self, band: str) -> list:
+        lists = []
+        for row in self.rows:
+            pairs = getattr(row, band)
+            if not pairs:
+                continue
+            if self.timed:
+                hooks = tuple((i, c.on_step) for i, c in pairs)
+                lists.append((row, row.ctx, hooks, row.totals))
+            else:
+                hooks = tuple(c.on_step for _, c in pairs)
+                lists.append((row, row.ctx, hooks))
+        return lists
+
+    def fail(self, row: _Row, error: Exception) -> None:
+        """End one point: record its error, neutralise its row."""
+        row.error = error
+        self.failed = True
+        if self.batch is not None:
+            self.batch.retire_row(row.k)
+
+
+def _call_band(live: _Live, band: str, hook: str, tick, prev: float) -> float:
+    """Run one per-point band's ``hook`` for every live row, timed.
+
+    Returns the last clock reading (timestamps chain between hooks).
+    """
+    for row in live.rows:
+        ctx = row.ctx
+        totals = row.totals
+        try:
+            for i, component in getattr(row, band):
+                getattr(component, hook)(ctx)
+                now = tick()
+                totals[i] += now - prev
+                prev = now
+        except Exception as exc:  # noqa: BLE001 - ends this point only
+            live.fail(row, exc)
+            prev = tick()
+    if live.failed:
+        live.rebuild()
+    return prev
+
+
+def _drive(live: _Live, batch, hooks, n_steps: int, dt, warmup) -> None:
+    """The unprofiled step loop."""
+    for step in range(n_steps):
+        t = step * dt
+        in_window = t >= warmup
+        for ctx, state in live.clocks:
+            ctx.step = step
+            ctx.time_s = t
+            state.time_s = t
+            ctx.in_window = in_window
+        if batch is not None:
+            batch.step = step
+            batch.time_s = t
+            batch.in_window = in_window
+        for row, ctx, band in live.pre:
+            try:
+                for hook in band:
+                    hook(ctx)
+            except Exception as exc:  # noqa: BLE001 - ends this point only
+                live.fail(row, exc)
+        if live.failed and not live.rebuild():
+            return
+        for hook in hooks:
+            hook(batch)
+        for row, ctx, band in live.post:
+            try:
+                for hook in band:
+                    hook(ctx)
+            except Exception as exc:  # noqa: BLE001 - ends this point only
+                live.fail(row, exc)
+        if live.failed and not live.rebuild():
+            return
+
+
+def _drive_profiled(
+    live: _Live, batch, hooks, n_steps: int, dt, warmup, clock, totals
+) -> None:
+    """The identical step loop with chained-timestamp accounting.
+
+    One clock reading between consecutive hooks, not a start/stop pair
+    around each.  Per-point hooks charge their own row; physics phases
+    charge ``totals``, which the engine later splits over the batch.
+    """
+    for step in range(n_steps):
+        t = step * dt
+        in_window = t >= warmup
+        for ctx, state in live.clocks:
+            ctx.step = step
+            ctx.time_s = t
+            state.time_s = t
+            ctx.in_window = in_window
+        if batch is not None:
+            batch.step = step
+            batch.time_s = t
+            batch.in_window = in_window
+        prev = clock()
+        for row, ctx, band, acc in live.pre:
+            try:
+                for i, hook in band:
+                    hook(ctx)
+                    now = clock()
+                    acc[i] += now - prev
+                    prev = now
+            except Exception as exc:  # noqa: BLE001 - ends this point only
+                live.fail(row, exc)
+                prev = clock()
+        if live.failed and not live.rebuild():
+            return
+        for j, hook in hooks:
+            hook(batch)
+            now = clock()
+            totals[j] += now - prev
+            prev = now
+        for row, ctx, band, acc in live.post:
+            try:
+                for i, hook in band:
+                    hook(ctx)
+                    now = clock()
+                    acc[i] += now - prev
+                    prev = now
+            except Exception as exc:  # noqa: BLE001 - ends this point only
+                live.fail(row, exc)
+                prev = clock()
+        if live.failed and not live.rebuild():
+            return
 
 
 class Engine:
-    """Owns the clock; drives an ordered component pipeline.
+    """Owns the clock; drives a batch of point pipelines in lockstep.
 
     The engine itself holds no simulation logic: it calls
-    ``on_run_start`` on every component, advances ``ctx.n_steps`` fixed
-    steps calling ``on_step`` in pipeline order, then calls
+    ``on_run_start`` on every component, advances the shared horizon
+    in fixed steps calling ``on_step`` in pipeline order, then calls
     ``on_run_end``.  All physics, policy and bookkeeping live in the
     components.
+
+    A point whose own component raises is taken out of the batch (its
+    row neutralised, see :meth:`~repro.sim.pipeline.LockstepBatch.
+    retire_row`) and the others run on; an exception from a physics
+    phase ends the whole batch.
+
+    Profiling: any context carrying a profiler switches the loop to
+    its instrumented twin, which costs a single ``perf_counter`` call
+    per hook (<2% overhead, pinned by
+    ``benchmarks/bench_step_pipeline.py``).  Per-point hooks charge
+    their own point; physics time and the loop's own overhead are
+    split evenly over the K points, so the points' engine times and
+    component totals sum to the batch's.
     """
 
-    def __init__(
-        self, components: Sequence[StepComponent], profiler=None
-    ):
-        """Bind a pipeline, optionally with a profiler riding along.
+    def run(self, contexts: Sequence[EngineContext]) -> List[Outcome]:
+        """Drive every context's pipeline over the shared horizon.
 
-        Args:
-            profiler: Optional :class:`repro.obs.profiler.StepProfiler`.
-                When set, the engine drives the instrumented loop
-                variant, which accounts every component's wall-clock
-                with *chained* timestamps — one clock reading between
-                consecutive hooks, not a start/stop pair around each —
-                so profiling costs a single ``perf_counter`` call per
-                component per step (<2% overhead, pinned by
-                ``benchmarks/bench_step_pipeline.py``).  The finished
-                profile lands in ``result.profile``.
+        All contexts must share one step, horizon and warm-up, and
+        their pipelines the same physics band; a band also needs one
+        topology and one parameter set (see
+        :class:`~repro.sim.pipeline.LockstepBatch`).
+
+        Returns:
+            One outcome per context, in order: its result, or the
+            exception that ended it.
         """
-        if not components:
-            raise SimulationError("engine needs at least one component")
-        self.components = list(components)
-        self.profiler = profiler
-
-    def run(self, ctx: EngineContext) -> SimulationResult:
-        """Drive the pipeline over the configured horizon."""
-        if self.profiler is not None:
-            return self._run_profiled(ctx)
-        for component in self.components:
-            component.on_run_start(ctx)
-        hooks = tuple(c.on_step for c in self.components)
-        driver = _step_driver(len(hooks), instrumented=False)
-        driver(
-            range(ctx.n_steps),
-            ctx,
-            ctx.state,
-            ctx.dt,
-            ctx.warmup_s,
-            hooks,
+        rows = [_Row(k, ctx) for k, ctx in enumerate(contexts)]
+        if not rows:
+            raise SimulationError("engine needs at least one context")
+        lead = rows[0]
+        clock_key = (lead.ctx.n_steps, lead.ctx.dt, lead.ctx.warmup_s)
+        band = [type(phase) for phase in lead.phases]
+        for row in rows[1:]:
+            ctx = row.ctx
+            if (ctx.n_steps, ctx.dt, ctx.warmup_s) != clock_key:
+                raise SimulationError(
+                    "lockstep points must share step, horizon and warm-up"
+                )
+            if [type(phase) for phase in row.phases] != band:
+                raise SimulationError(
+                    "lockstep points must share the physics phases"
+                )
+        batch = (
+            LockstepBatch([row.ctx for row in rows]) if lead.phases else None
         )
-        for component in self.components:
-            component.on_run_end(ctx)
-        return ctx.result
+        profilers = [
+            row.ctx.profiler for row in rows if row.ctx.profiler is not None
+        ]
+        clock = profilers[0].clock if profilers else None
+        for row in rows:
+            profiler = row.ctx.profiler
+            if profiler is not None:
+                profiler.bind(row.components)
+                row.totals = profiler.totals_s
+                row.ctx.profile_buckets = profiler.buckets
+                row.ctx.profile_clock = clock
+        tick = clock or time.perf_counter
+        phase_totals = [0.0] * len(lead.phases)
+        live = _Live(rows, batch, timed=clock is not None)
+        started = prev = tick()
 
-    def _run_profiled(self, ctx: EngineContext) -> SimulationResult:
-        """The identical drive loop with per-component accounting.
-
-        Kept as a separate variant so the unprofiled hot loop carries
-        zero instrumentation cost.  The simulation trajectory is
-        bit-identical either way — the profiler only reads the clock.
-        """
-        profiler = self.profiler
-        profiler.bind(self.components)
-        clock = profiler.clock
-        totals = profiler.totals_s
-        ctx.profile_buckets = profiler.buckets
-        ctx.profile_clock = clock
-        run_started = clock()
-        prev = run_started
-        for i, component in enumerate(self.components):
-            component.on_run_start(ctx)
-            now = clock()
-            totals[i] += now - prev
+        prev = _call_band(live, "pre", "on_run_start", tick, prev)
+        for j, phase in enumerate(lead.phases):
+            phase.on_run_start(batch, [row.phases[j] for row in rows])
+            now = tick()
+            phase_totals[j] += now - prev
             prev = now
-        hooks = tuple(c.on_step for c in self.components)
-        driver = _step_driver(len(hooks), instrumented=True)
-        driver(
-            range(ctx.n_steps),
-            ctx,
-            ctx.state,
-            ctx.dt,
-            ctx.warmup_s,
-            hooks,
-            clock,
-            totals,
-        )
-        for i, component in enumerate(self.components):
-            prev = clock()
-            component.on_run_end(ctx)
-            totals[i] += clock() - prev
-        # Call counts are exact arithmetic, not accounting: the engine
-        # contract drives every hook of every component exactly once
-        # per phase, so counting inside the hot loop would only buy
-        # overhead.
-        n_calls = ctx.n_steps + 2
-        profiler.calls = [n_calls] * len(self.components)
-        profiler.n_steps = ctx.n_steps
-        profiler.engine_elapsed_s = clock() - run_started
-        ctx.result.profile = profiler.profile()
-        return ctx.result
+        _call_band(live, "post", "on_run_start", tick, prev)
+
+        n_steps, dt, warmup = clock_key
+        if clock is None:
+            hooks = tuple(phase.on_step for phase in lead.phases)
+            _drive(live, batch, hooks, n_steps, dt, warmup)
+        else:
+            hooks = tuple(
+                enumerate(phase.on_step for phase in lead.phases)
+            )
+            _drive_profiled(
+                live, batch, hooks, n_steps, dt, warmup, clock,
+                phase_totals,
+            )
+
+        prev = _call_band(live, "pre", "on_run_end", tick, tick())
+        for j, phase in enumerate(lead.phases):
+            phase.on_run_end(batch)
+            now = tick()
+            phase_totals[j] += now - prev
+            prev = now
+        _call_band(live, "post", "on_run_end", tick, prev)
+        if profilers:
+            self._finish_profiles(
+                rows, phase_totals, n_steps, tick() - started
+            )
+        return [
+            row.ctx.result if row.error is None else row.error
+            for row in rows
+        ]
+
+    @staticmethod
+    def _finish_profiles(rows, phase_totals, n_steps, elapsed) -> None:
+        """Attach each profiled point's share of the batch's time.
+
+        A point keeps what its own hooks measured and gets ``1/K`` of
+        each physics phase and of the unattributed loop overhead.
+        Call counts are exact arithmetic, not accounting: the engine
+        drives every hook of every component exactly once per phase,
+        so counting inside the hot loop would only buy overhead.
+        """
+        n_points = len(rows)
+        shared = (elapsed - sum(sum(row.totals) for row in rows)) / n_points
+        for row in rows:
+            profiler = row.ctx.profiler
+            if profiler is None or row.error is not None:
+                continue
+            own = sum(row.totals)
+            for j, total in enumerate(phase_totals):
+                row.totals[row.first + j] += total / n_points
+            profiler.calls = [n_steps + 2] * len(row.components)
+            profiler.n_steps = n_steps
+            profiler.engine_elapsed_s = own + shared
+            row.ctx.result.profile = profiler.profile()
 
 
 class Simulation:
@@ -303,17 +480,11 @@ class Simulation:
             extra_components=extra,
         )
 
-    def run(self, jobs: Sequence[Job]) -> SimulationResult:
-        """Simulate the given job stream to the configured horizon.
+    def prepare(self, jobs: Sequence[Job]) -> EngineContext:
+        """A fresh context for one run over ``jobs``, pipeline included.
 
-        Args:
-            jobs: Jobs with pre-sampled arrival times and durations.
-                Admission order is ``(arrival_s, job_id)``, so results
-                do not depend on the caller's list order.
-
-        Returns:
-            A :class:`SimulationResult` covering the post-warm-up
-            window.
+        Admission order is ``(arrival_s, job_id)``, so results do not
+        depend on the caller's list order.
         """
         ordered = sorted(
             jobs, key=lambda job: (job.arrival_s, job.job_id)
@@ -327,22 +498,78 @@ class Simulation:
         )
         if self.params.warm_start and ordered:
             _warm_start(ctx.state, ordered)
-        profiler = None
+        ctx.components = self.build_components()
         if self.profile:
             if self._profiler is None:
                 from ..obs.profiler import StepProfiler
 
                 self._profiler = StepProfiler()
-            profiler = self._profiler
-        result = Engine(self.build_components(), profiler=profiler).run(
-            ctx
-        )
-        if not result.completed_jobs:
+            ctx.profiler = self._profiler
+        return ctx
+
+    def run(self, jobs: Sequence[Job]) -> SimulationResult:
+        """Simulate the given job stream to the configured horizon.
+
+        The batch of one of :func:`run_lockstep`.
+
+        Args:
+            jobs: Jobs with pre-sampled arrival times and durations.
+
+        Returns:
+            A :class:`SimulationResult` covering the post-warm-up
+            window.
+
+        Raises:
+            SimulationError: if no job completed in the window, or
+                whatever ended the run.
+        """
+        (outcome,) = run_lockstep([self], [jobs])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def run_lockstep(
+    simulations: Sequence[Simulation], job_streams: Sequence[Sequence[Job]]
+) -> List[Outcome]:
+    """Run several simulations together, stepping them in lockstep.
+
+    Every point advances exactly as it would alone (bit-identical
+    results); the physics of all points runs as one batch per step.
+    The simulations must share one topology object and equal
+    parameters, and must not share a simulation, scheduler or job
+    list (nor job objects across lists) — points are interleaved step
+    by step, so any shared mutable object would couple them.
+
+    Returns:
+        One outcome per simulation, in order: its result, or the
+        exception that ended it (a point whose window saw no
+        completion ends with a :class:`SimulationError`).  An error
+        in one point's own components never ends the others; one in
+        a physics phase ends the batch and propagates.
+    """
+    if len(simulations) != len(job_streams):
+        raise SimulationError("one job stream per simulation")
+    for owners, what in (
+        (simulations, "simulation"),
+        ([sim.scheduler for sim in simulations], "scheduler"),
+        (job_streams, "job list"),
+    ):
+        if len({id(owner) for owner in owners}) != len(owners):
             raise SimulationError(
+                f"lockstep points must not share a {what} object"
+            )
+    contexts = [
+        sim.prepare(jobs) for sim, jobs in zip(simulations, job_streams)
+    ]
+    outcomes = Engine().run(contexts)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, SimulationResult) and not outcome.completed_jobs:
+            outcomes[i] = SimulationError(
                 "no jobs completed in the measurement window; increase "
                 "sim_time_s or the offered load"
             )
-        return result
+    return outcomes
 
 
 def _warm_start(state, ordered: List[Job]) -> None:
@@ -391,8 +618,10 @@ def _warm_start(state, ordered: List[Job]) -> None:
         dyn_sustained,
         np.full(n, utilization),
     )
-    state.thermal.sink_c = field.sink_c.copy()
-    state.thermal.chip_c = field.chip_c.copy()
-    state.ambient_c = field.ambient_c.copy()
-    state.history_c = field.chip_c.copy()
-    state.busy_ema = np.full(n, utilization)
+    # In place: state arrays are never rebound (a lockstep batch
+    # stacks them into slab rows).
+    np.copyto(state.thermal.sink_c, field.sink_c)
+    np.copyto(state.thermal.chip_c, field.chip_c)
+    np.copyto(state.ambient_c, field.ambient_c)
+    np.copyto(state.history_c, field.chip_c)
+    state.busy_ema.fill(utilization)

@@ -11,10 +11,16 @@ the results bit-identical to serial execution:
   order or wall-clock), so a point computes the same result no matter
   which process runs it or when;
 - results are collected back in submission order;
-- execution falls back to the plain serial loop when ``max_workers <=
-  1``, when there is only one point to run, when the platform cannot
+- execution falls back to the serial path when ``max_workers <= 1``,
+  when there is only one point to run, when the platform cannot
   ``fork`` (the only start method that is both cheap and inherits the
   loaded modules), or when the pool fails to come up.
+
+The serial path runs every pending point as one lockstep batch
+(:func:`~repro.sim.engine.run_lockstep`): the physics of all points
+advances together over ``(K, n)`` slabs, bit-identical to running the
+points one by one, and finished points are recorded in point order.
+Pool workers run one point each (a batch of one).
 
 The pool path is additionally *crash-resilient*: a worker that dies
 (OOM kill, segfault) breaks the pool, and the harness rebuilds it and
@@ -244,6 +250,69 @@ def clear_shared_cache() -> None:
     shared_cache.clear()
 
 
+def _run_points(
+    topology: ServerTopology,
+    params: SimulationParameters,
+    points: Sequence[SweepPoint],
+    audit: bool,
+    audit_interval: int,
+    fault_schedule=None,
+    telemetry=None,
+    profile: bool = False,
+    point_keys: Optional[Sequence[Optional[str]]] = None,
+) -> list:
+    """Execute sweep points as one lockstep batch.
+
+    Runs in the serial path (every pending point) and in pool workers
+    (a batch of one).  Each scheduler is constructed *inside* the
+    executing process from its registered name, so stateful policies
+    always start fresh and no policy object ever crosses a process
+    boundary.  The telemetry config is a frozen value object, so it
+    crosses the fork boundary by construction; each point writes its
+    own ``point-<key>`` log and manifest, named by the configuration
+    key so artifacts from different points can never collide.
+
+    Returns:
+        One outcome per point, in order: its result, or the exception
+        that ended it (see :func:`~repro.sim.engine.run_lockstep`).
+    """
+    from ..core import get_scheduler  # local import: avoids cycle
+    from .engine import run_lockstep
+    from .runner import point_simulation, save_point_manifest
+
+    runs = []
+    for i, (name, benchmark_set, load) in enumerate(points):
+        auditor = None
+        if audit:
+            from .invariants import InvariantAuditor
+
+            auditor = InvariantAuditor(interval_steps=audit_interval)
+        key = point_keys[i] if point_keys is not None else None
+        runs.append(
+            point_simulation(
+                topology,
+                params,
+                get_scheduler(name),
+                benchmark_set,
+                load,
+                auditor=auditor,
+                fault_schedule=fault_schedule,
+                telemetry=telemetry,
+                profile=profile,
+                run_name="run" if key is None else f"point-{key[:12]}",
+            )
+        )
+    outcomes = run_lockstep(
+        [simulation for simulation, _ in runs], [jobs for _, jobs in runs]
+    )
+    for (simulation, _), point, outcome in zip(runs, points, outcomes):
+        if isinstance(outcome, SimulationResult):
+            save_point_manifest(
+                simulation, point[1], point[2], fault_schedule, outcome
+            )
+    return outcomes
+
+
 def _run_point(
     topology: ServerTopology,
     params: SimulationParameters,
@@ -255,40 +324,21 @@ def _run_point(
     profile: bool = False,
     point_key: Optional[str] = None,
 ) -> SimulationResult:
-    """Execute one sweep point; runs in workers and in the serial path.
-
-    The scheduler is constructed *inside* the executing process from its
-    registered name, so stateful policies always start fresh and no
-    policy object ever crosses a process boundary.  The telemetry
-    config is a frozen value object, so it crosses the fork boundary by
-    construction; each point writes its own ``point-<key>`` log and
-    manifest, named by the configuration key so artifacts from
-    different points can never collide.
-    """
-    from ..core import get_scheduler  # local import: avoids cycle
-    from .runner import run_once
-
-    name, benchmark_set, load = point
-    auditor = None
-    if audit:
-        from .invariants import InvariantAuditor
-
-        auditor = InvariantAuditor(interval_steps=audit_interval)
-    run_name = "run"
-    if point_key is not None:
-        run_name = f"point-{point_key[:12]}"
-    return run_once(
+    """Execute one sweep point in a pool worker (a batch of one)."""
+    (outcome,) = _run_points(
         topology,
         params,
-        get_scheduler(name),
-        benchmark_set,
-        load,
-        auditor=auditor,
-        fault_schedule=fault_schedule,
+        [point],
+        audit,
+        audit_interval,
+        fault_schedule,
         telemetry=telemetry,
         profile=profile,
-        run_name=run_name,
+        point_keys=[point_key],
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _fork_available() -> bool:
@@ -368,7 +418,9 @@ def execute_sweep(
         SimulationError: propagated from any point (including
             :class:`~repro.sim.invariants.InvariantViolation` raised
             inside a worker process), or raised for points that
-            exhausted their timeout attempts.
+            exhausted their timeout attempts.  The serial path records
+            every point that finished before the first failure in
+            point order propagates.
     """
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
@@ -495,21 +547,29 @@ def execute_sweep(
                     keys=keys,
                     session=session,
                 )
-            for i in serial:
-                record(
-                    i,
-                    _run_point(
-                        topology,
-                        params,
-                        points[i],
-                        audit,
-                        audit_interval,
-                        fault_schedule,
-                        telemetry=telemetry,
-                        profile=profile,
-                        point_key=keys[i],
-                    ),
+            if serial:
+                outcomes = _run_points(
+                    topology,
+                    params,
+                    [points[i] for i in serial],
+                    audit,
+                    audit_interval,
+                    fault_schedule,
+                    telemetry=telemetry,
+                    profile=profile,
+                    point_keys=[keys[i] for i in serial],
                 )
+                # Every finished point is kept (cache, checkpoint)
+                # before the first failure in point order propagates,
+                # so a resumed sweep re-runs only the failed points.
+                failures = []
+                for i, outcome in zip(serial, outcomes):
+                    if isinstance(outcome, Exception):
+                        failures.append(outcome)
+                    else:
+                        record(i, outcome)
+                if failures:
+                    raise failures[0]
         if session is not None:
             session.emit("sweep_end", n_points=len(points))
     finally:

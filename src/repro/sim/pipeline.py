@@ -32,31 +32,44 @@ max-chip-temperature metric sees post-advance temperatures).  See
 ``docs/architecture.md`` for the full contract and a recipe for adding
 components.
 
-Every component implements a three-hook protocol against a shared
-:class:`EngineContext`:
+The engine advances a batch of K points in lockstep, and the order
+splits into three bands.  The decision phases before the physics
+(admission, faults, placement, migration) are :class:`StepComponent`
+objects run once per point; the physics from ``PowerManager`` to
+``MetricsAccumulator`` are :class:`BatchPhase` objects run once per
+step over the :class:`LockstepBatch`, whose ``(K, n)`` slabs hold
+every point's state as rows; the observers after them run once per
+point again.  A single run is the batch of one.
 
-- ``on_run_start(ctx)`` — reset per-run state (pointers, cadences);
-- ``on_step(ctx)`` — advance one engine step;
-- ``on_run_end(ctx)`` — finalise results (counters, derived metrics).
+Every component implements a three-hook protocol:
 
-Components communicate only through the context (engine state, scratch
-arrays, per-step scalars), never directly with each other.
+- ``on_run_start`` — reset per-run state (pointers, cadences);
+- ``on_step`` — advance one engine step;
+- ``on_run_end`` — finalise results (counters, derived metrics).
+
+A :class:`StepComponent` receives its point's :class:`EngineContext`,
+a :class:`BatchPhase` the :class:`LockstepBatch`.  Components
+communicate only through those (engine state, scratch arrays,
+per-step scalars), never directly with each other.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..config.parameters import SimulationParameters
+from ..errors import SimulationError
 from ..server.topology import ServerTopology
+from ..thermal.dynamics import TwoNodeThermalState
 from ..workloads.job import Job
 from .power_manager import SelectionWorkspace, select_frequencies
 from .results import SimulationResult
-from .state import SimulationState
+from .state import SimulationState, StateSlabs
 from .view import SchedulerView
 
 
@@ -104,11 +117,15 @@ class EngineContext:
         retired: This step's per-socket retired work, ms (written by
             :class:`WorkRetirer`).
         busy_frac: Fraction of this step each socket was busy (written
-            by :class:`WorkRetirer`).
+            by :class:`WorkRetirer`).  These three are the point's rows
+            of the :class:`LockstepBatch` slabs, bound at run start.
         airflow_scale: Relative airflow this step (1.0 without fan
             control).
         fan_power_w: Electrical fan power this step, W.
         fan_active: Whether a fan controller is part of the pipeline.
+        components: The point's pipeline, in contract order.
+        profiler: Optional :class:`repro.obs.profiler.StepProfiler`
+            accounting the point's share of the engine's wall-clock.
     """
 
     topology: ServerTopology
@@ -166,6 +183,11 @@ class EngineContext:
     # *reads* state, which keeps telemetry-off runs bit-identical to
     # telemetry-on runs.
     telemetry: Optional[object] = None
+
+    # The point's pipeline in contract order, and its optional
+    # repro.obs.profiler.StepProfiler (both set by Simulation.prepare).
+    components: List[object] = field(default_factory=list)
+    profiler: Optional[object] = None
 
     # Profiling sub-buckets (non-None only on profiled runs): the bound
     # StepProfiler's ``name -> [calls, total_s]`` accumulator dict and
@@ -393,7 +415,132 @@ class Migrator(StepComponent):
         ctx.result.n_migrations = self._migrations
 
 
-class PowerManager(StepComponent):
+class BatchPhase:
+    """One physics phase advancing every point of a batch per step.
+
+    Where a :class:`StepComponent` sees one point's context, a batch
+    phase sees the whole :class:`LockstepBatch` and works on its
+    ``(K, n)`` slabs, so one numpy call advances all K points.  Only
+    data-dependent work (completions, fault overrides, airflow scales,
+    the coupling product) loops over rows.
+
+    ``on_run_start`` also receives ``members``: the same-position
+    phase of every point's pipeline, row by row, so a phase can read
+    per-point configuration (the fan controller) from its peers.  The
+    engine drives the first point's instance.
+    """
+
+    def on_run_start(
+        self, batch: "LockstepBatch", members: Sequence["BatchPhase"]
+    ) -> None:
+        """Reset per-run state before the first step."""
+
+    def on_step(self, batch: "LockstepBatch") -> None:
+        """Advance this phase by one engine step for every point."""
+
+    def on_run_end(self, batch: "LockstepBatch") -> None:
+        """Finalise results after the last step."""
+
+
+class LockstepBatch:
+    """K points over one topology and one parameter set, in lockstep.
+
+    Stacks the points' state arrays and result accumulators into
+    ``(K, n)`` slabs (see :class:`~repro.sim.state.StateSlabs`), binds
+    each context's per-step scratch (``power``, ``retired``,
+    ``busy_frac``) to its row, and holds the constants and clock the
+    batch phases share.
+
+    Elementwise physics runs on ``flat``: the slabs viewed as
+    ``(K * n,)`` vectors, against per-socket constants tiled K times.
+    One flat vector costs numpy less per call than a ``(K, n)`` array
+    broadcast against an ``(n,)`` constant, and for K = 1 it is the
+    single point's own ``(n,)`` layout.  Row work (reductions, the
+    coupling product, fault overrides) indexes the 2-D ``slabs``.
+
+    Attributes:
+        contexts: The points' contexts, in row order.
+        slabs: The stacked state and result arrays, ``(K, n)`` each.
+        flat: The same arrays (plus ``retired`` and ``busy_frac``) as
+            flat ``(K * n,)`` views.
+        thermal: Two-node thermal state over the flat ``sink_c`` and
+            ``chip_c``.
+        retired: This step's retired work per row, ms.
+        busy_frac: This step's busy fraction per row.
+        r_ext, theta_offset, theta_slope, gated_power, tdp: Per-socket
+            constants tiled to ``(K * n,)``.
+        step, time_s, in_window: The shared clock (engine-owned).
+    """
+
+    def __init__(self, contexts: Sequence[EngineContext]) -> None:
+        first = contexts[0]
+        for ctx in contexts[1:]:
+            if ctx.topology is not first.topology or ctx.params != first.params:
+                raise SimulationError(
+                    "a lockstep batch needs one topology and one "
+                    "parameter set for all of its points"
+                )
+        self.contexts = list(contexts)
+        self.topology = first.topology
+        self.params = first.params
+        self.ladder = first.state.ladder
+        self.shape = (len(self.contexts), self.topology.n_sockets)
+        for name in (
+            "dt", "dt_ms", "history_alpha", "inlet_c", "max_mhz",
+            "span_mhz", "sustained_mhz",
+        ):
+            setattr(self, name, getattr(first, name))
+        for name in (
+            "r_ext", "theta_offset", "theta_slope", "gated_power", "tdp"
+        ):
+            setattr(self, name, np.tile(getattr(first, name), self.n_points))
+        self.min_mhz = float(self.ladder.min_mhz)
+        self.slabs = StateSlabs(
+            [ctx.state for ctx in self.contexts],
+            [ctx.result for ctx in self.contexts],
+        )
+        self.retired = np.zeros(self.shape)
+        self.busy_frac = np.zeros(self.shape)
+        self.flat = SimpleNamespace(
+            retired=self.retired.reshape(-1),
+            busy_frac=self.busy_frac.reshape(-1),
+            **{
+                name: slab.reshape(-1)
+                for name, slab in vars(self.slabs).items()
+            },
+        )
+        self.thermal = TwoNodeThermalState(
+            self.flat.sink_c,
+            self.flat.chip_c,
+            chip_tau_s=self.params.chip_tau_s,
+            socket_tau_s=self.params.socket_tau_s,
+        )
+        for k, ctx in enumerate(self.contexts):
+            ctx.power = self.slabs.power_w[k]
+            ctx.retired = self.retired[k]
+            ctx.busy_frac = self.busy_frac[k]
+        self.step = 0
+        self.time_s = 0.0
+        self.in_window = False
+
+    @property
+    def n_points(self) -> int:
+        """Rows in the batch."""
+        return self.shape[0]
+
+    def retire_row(self, k: int) -> None:
+        """Take a failed point's row out of play.
+
+        The physics phases keep advancing every row, so the failed
+        point's row is neutralised instead of removed: its sockets go
+        idle (no completion can touch its jobs again) and it stops
+        emitting telemetry.
+        """
+        self.slabs.busy[k] = False
+        self.contexts[k].telemetry = None
+
+
+class PowerManager(BatchPhase):
     """Select per-socket DVFS states and compute electrical power.
 
     Runs the batched frequency selection (see
@@ -403,209 +550,226 @@ class PowerManager(StepComponent):
     frequency selection — both need the identical quantity.
 
     Under a fault schedule this phase is also the graceful-degradation
-    seat: it advances the thermal-trip machine on the **true** chip
-    temperatures, applies wedged-ladder / power-cap / trip frequency
-    overrides before power is derived, and zeroes the draw of killed
-    sockets (see :class:`repro.faults.injector.FaultState`).
+    seat: for each faulted row it advances the thermal-trip machine on
+    the **true** chip temperatures, applies wedged-ladder / power-cap /
+    trip frequency overrides before power is derived, and zeroes the
+    draw of killed sockets (see :class:`repro.faults.injector.
+    FaultState`).
     """
 
     def __init__(self) -> None:
         self._leak: Optional[np.ndarray] = None
         self._busy_power: Optional[np.ndarray] = None
         self._workspace: Optional[SelectionWorkspace] = None
-        self._last_throttled = 0
+        self._fault_rows: List[tuple] = []
+        self._last_throttled: List[int] = []
 
-    def on_run_start(self, ctx: EngineContext) -> None:
-        n = ctx.topology.n_sockets
-        self._leak = np.empty(n)
-        self._busy_power = np.empty(n)
-        self._workspace = SelectionWorkspace.for_ladder(
-            ctx.state.ladder, n
-        )
-        self._last_throttled = 0
+    def on_run_start(self, batch, members) -> None:
+        size = batch.tdp.size
+        self._leak = np.empty(size)
+        self._busy_power = np.empty(size)
+        self._workspace = SelectionWorkspace.for_ladder(batch.ladder, size)
+        n = batch.shape[1]
+        self._fault_rows = [
+            (slice(k * n, (k + 1) * n), ctx.fault_state)
+            for k, ctx in enumerate(batch.contexts)
+            if ctx.fault_state is not None
+        ]
+        self._last_throttled = [0] * batch.n_points
 
-    def on_step(self, ctx: EngineContext) -> None:
-        state = ctx.state
-        params = ctx.params
-        ladder = state.ladder
-        leak = _leakage_into(state.chip_c, ctx.tdp, self._leak)
+    def on_step(self, batch) -> None:
+        flat = batch.flat
+        chip = flat.chip_c
+        min_mhz = batch.min_mhz
+        leak = _leakage_into(chip, batch.tdp, self._leak)
         freq = select_frequencies(
-            sink_c=state.sink_c,
-            chip_c=state.chip_c,
-            dyn_max_w=state.dyn_max_w,
-            dyn_exp=state.dyn_exp,
-            tdp_w=ctx.tdp,
-            theta_offset=ctx.theta_offset,
-            theta_slope=ctx.theta_slope,
-            ladder=ladder,
-            params=params,
+            sink_c=flat.sink_c,
+            chip_c=chip,
+            dyn_max_w=flat.dyn_max_w,
+            dyn_exp=flat.dyn_exp,
+            tdp_w=batch.tdp,
+            theta_offset=batch.theta_offset,
+            theta_slope=batch.theta_slope,
+            ladder=batch.ladder,
+            params=batch.params,
             leakage_w=leak,
             workspace=self._workspace,
         )
-        faults = ctx.fault_state
-        if faults is not None:
-            faults.update_trips(state.chip_c, ctx.step, ctx.dt)
-            freq = faults.override_frequencies(
-                freq, float(ladder.min_mhz)
-            )
-        busy = state.busy
-        state.freq_mhz = np.where(busy, freq, float(ladder.min_mhz))
+        for row, faults in self._fault_rows:
+            faults.update_trips(chip[row], batch.step, batch.dt)
+            freq[row] = faults.override_frequencies(freq[row], min_mhz)
+        busy = flat.busy
+        freq_mhz = flat.freq_mhz
+        np.copyto(freq_mhz, np.where(busy, freq, min_mhz))
         # busy_power = dyn_max * (freq / max) ** exp + leak, in place
         # (see dynamic_power; commutative reorder only).
         busy_power = np.divide(
-            state.freq_mhz, ctx.max_mhz, out=self._busy_power
+            freq_mhz, batch.max_mhz, out=self._busy_power
         )
-        busy_power **= state.dyn_exp
-        busy_power *= state.dyn_max_w
+        busy_power **= flat.dyn_exp
+        busy_power *= flat.dyn_max_w
         busy_power += leak
-        power = np.where(busy, busy_power, ctx.gated_power)
-        if faults is not None:
-            faults.zero_dead_power(power)
-        state.power_w = power
-        ctx.power = power
-        telemetry = ctx.telemetry
-        if telemetry is not None:
-            if faults is not None:
-                # trip_step == step picks exactly this step's new trips.
-                for socket_id in np.nonzero(
-                    faults.trip_step == ctx.step
-                )[0]:
-                    telemetry.emit(
-                        "thermal_trip",
-                        step=ctx.step,
-                        t=ctx.time_s,
-                        socket=int(socket_id),
-                    )
-            # Edge-triggered: one event whenever the number of busy
-            # sockets held below the sustained frequency changes.
-            n_throttled = int(
-                np.count_nonzero(
-                    busy & (state.freq_mhz < ctx.sustained_mhz)
+        power = flat.power_w
+        np.copyto(power, np.where(busy, busy_power, batch.gated_power))
+        for row, faults in self._fault_rows:
+            faults.zero_dead_power(power[row])
+        for k, ctx in enumerate(batch.contexts):
+            if ctx.telemetry is not None:
+                self._emit(
+                    ctx, batch.slabs.busy[k], batch.slabs.freq_mhz[k], k
                 )
-            )
-            if n_throttled != self._last_throttled:
-                self._last_throttled = n_throttled
+
+    def _emit(self, ctx, busy, freq_mhz, k: int) -> None:
+        """This step's trip and throttle events of one point."""
+        telemetry = ctx.telemetry
+        faults = ctx.fault_state
+        if faults is not None:
+            # trip_step == step picks exactly this step's new trips.
+            for socket_id in np.nonzero(faults.trip_step == ctx.step)[0]:
                 telemetry.emit(
-                    "dvfs_throttle",
+                    "thermal_trip",
                     step=ctx.step,
                     t=ctx.time_s,
-                    n_throttled=n_throttled,
+                    socket=int(socket_id),
                 )
+        # Edge-triggered: one event whenever the number of busy sockets
+        # held below the sustained frequency changes.
+        n_throttled = int(
+            np.count_nonzero(busy & (freq_mhz < ctx.sustained_mhz))
+        )
+        if n_throttled != self._last_throttled[k]:
+            self._last_throttled[k] = n_throttled
+            telemetry.emit(
+                "dvfs_throttle",
+                step=ctx.step,
+                t=ctx.time_s,
+                n_throttled=n_throttled,
+            )
 
 
-class WorkRetirer(StepComponent):
+class WorkRetirer(BatchPhase):
     """Retire work at the granted frequency; interpolate completions.
 
     A completing socket's final sub-step is interpolated: the job
     retires exactly its remaining work, the socket counts as busy for
     the matching fraction of the step, and its power blends toward the
     gated floor for the remainder.  Completed jobs inside the
-    measurement window are appended to the result in socket order.
+    measurement window are appended to their point's result in socket
+    order.
     """
 
     def __init__(self) -> None:
         self._done_ms: Optional[np.ndarray] = None
-        self._busy_frac: Optional[np.ndarray] = None
-        self._retired: Optional[np.ndarray] = None
         self._completing: Optional[np.ndarray] = None
 
-    def on_run_start(self, ctx: EngineContext) -> None:
-        n = ctx.topology.n_sockets
-        self._done_ms = np.empty(n)
-        self._busy_frac = np.empty(n)
-        self._retired = np.empty(n)
-        self._completing = np.empty(n, dtype=bool)
+    def on_run_start(self, batch, members) -> None:
+        self._done_ms = np.empty(batch.tdp.size)
+        self._completing = np.empty(batch.tdp.size, dtype=bool)
 
-    def on_step(self, ctx: EngineContext) -> None:
-        state = ctx.state
-        power = ctx.power
-        max_mhz = ctx.max_mhz
-        span_mhz = ctx.span_mhz if ctx.span_mhz > 0 else 1.0
+    def on_step(self, batch) -> None:
+        flat = batch.flat
+        span_mhz = batch.span_mhz if batch.span_mhz > 0 else 1.0
         # done_ms = (1 - perf_drop * (max - freq) / span) * dt_ms,
         # accumulated in place (commutative reorder only).
-        done_ms = np.subtract(max_mhz, state.freq_mhz, out=self._done_ms)
-        done_ms *= state.perf_drop
+        done_ms = np.subtract(
+            batch.max_mhz, flat.freq_mhz, out=self._done_ms
+        )
+        done_ms *= flat.perf_drop
         done_ms /= span_mhz
         np.subtract(1.0, done_ms, out=done_ms)
-        done_ms *= ctx.dt_ms
-        busy = state.busy
-        busy_frac = self._busy_frac
+        done_ms *= batch.dt_ms
+        busy = flat.busy
+        busy_frac = flat.busy_frac
         np.copyto(busy_frac, busy)
         # retired = where(busy, done_ms, 0) == busy * done_ms exactly
         # (1.0 * x and 0.0 * x are exact for finite positive work).
-        retired = np.multiply(busy, done_ms, out=self._retired)
+        retired = np.multiply(busy, done_ms, out=flat.retired)
+        remaining = flat.remaining_work_ms
         completing = np.less_equal(
-            state.remaining_work_ms, done_ms, out=self._completing
+            remaining, done_ms, out=self._completing
         )
         completing &= busy
         if completing.any():
+            # Flat indices are row-major: each point's completions
+            # come out in socket order.
             ids = np.nonzero(completing)[0]
-            remaining = state.remaining_work_ms[ids]
-            frac = remaining / done_ms[ids]
-            retired[ids] = remaining
+            left = remaining[ids]
+            frac = left / done_ms[ids]
+            retired[ids] = left
             busy_frac[ids] = frac
+            power = flat.power_w
             power[ids] = (
-                power[ids] * frac
-                + ctx.gated_power[ids] * (1.0 - frac)
+                power[ids] * frac + batch.gated_power[ids] * (1.0 - frac)
             )
-            t = ctx.time_s
-            dt = ctx.dt
-            in_window = ctx.in_window
-            completed = ctx.result.completed_jobs
-            for i, socket_id in enumerate(ids):
-                job = state.release(int(socket_id))
-                job.finish_s = t + frac[i] * dt
+            t = batch.time_s
+            dt = batch.dt
+            n = batch.shape[1]
+            in_window = batch.in_window
+            contexts = batch.contexts
+            for index, part in zip(ids.tolist(), frac.tolist()):
+                row, socket_id = divmod(index, n)
+                ctx = contexts[row]
+                job = ctx.state.release(socket_id)
+                job.finish_s = t + part * dt
                 if in_window:
-                    completed.append(job)
+                    ctx.result.completed_jobs.append(job)
         # Completions already released; subtract in place only where
         # still running (masked ufunc instead of fancy-index copies).
-        remaining = state.remaining_work_ms
-        np.subtract(
-            remaining, done_ms, out=remaining, where=state.busy
-        )
-        ctx.retired = retired
-        ctx.busy_frac = busy_frac
+        np.subtract(remaining, done_ms, out=remaining, where=busy)
 
 
-class FanControl(StepComponent):
-    """Modulate delivered airflow with the server's heat load.
+class FanControl(BatchPhase):
+    """Modulate delivered airflow with each point's heat load.
 
     Registered only when a :class:`repro.thermal.fan_control.
     FanController` is configured.  Runs *before* the thermal update:
     the scale computed from this step's power applies to this step's
     coupling (less airflow strengthens coupling as 1/scale) and its
     cubic electrical power is charged to this step's cooling energy.
+    Each point keeps its own controller, cadence and scale.
     """
 
     def __init__(self, controller) -> None:
         self.controller = controller
-        self._interval_steps = 1
+        self._rows: List[tuple] = []
 
-    def on_run_start(self, ctx: EngineContext) -> None:
-        self._interval_steps = max(
-            int(round(self.controller.interval_s / ctx.dt)), 1
-        )
-        ctx.fan_active = True
-        ctx.airflow_scale = 1.0
-        ctx.fan_power_w = self.controller.fan_power_w(1.0)
+    def on_run_start(self, batch, members) -> None:
+        self._rows = []
+        for ctx, member in zip(batch.contexts, members):
+            controller = member.controller
+            ctx.fan_active = True
+            ctx.airflow_scale = 1.0
+            ctx.fan_power_w = controller.fan_power_w(1.0)
+            interval = max(int(round(controller.interval_s / batch.dt)), 1)
+            self._rows.append((ctx, controller, interval))
 
-    def on_step(self, ctx: EngineContext) -> None:
-        if ctx.step % self._interval_steps != 0:
-            return
-        scale = self.controller.airflow_scale(float(ctx.power.sum()))
-        ctx.airflow_scale = scale
-        ctx.fan_power_w = self.controller.fan_power_w(scale)
+    def on_step(self, batch) -> None:
+        step = batch.step
+        heat = None
+        for k, (ctx, controller, interval) in enumerate(self._rows):
+            if step % interval != 0:
+                continue
+            if heat is None:
+                heat = batch.slabs.power_w.sum(axis=1)
+            scale = controller.airflow_scale(float(heat[k]))
+            ctx.airflow_scale = scale
+            ctx.fan_power_w = controller.fan_power_w(scale)
 
 
-class ThermalUpdater(StepComponent):
+class ThermalUpdater(BatchPhase):
     """Advance the coupling chain and the two-node thermal model.
 
     Computes each sink's heat output into the air stream, maps it
     through the coupling matrix to per-socket entry temperatures
-    (scaled by the current airflow), and relaxes the sink and chip
+    (scaled by each point's airflow), and relaxes the sink and chip
     nodes toward their new targets with precomputed per-run decay
     factors.  Also maintains the smoothed temperature history and
     utilisation EMAs that policies consume.
+
+    The coupling product runs one matrix-vector product per row: a
+    single stacked matrix-matrix product (dgemm) does not round like
+    the per-point matrix-vector product (dgemv), so it would change
+    trajectories.
     """
 
     def __init__(self) -> None:
@@ -615,120 +779,147 @@ class ThermalUpdater(StepComponent):
         self._theta: Optional[np.ndarray] = None
         self._ema: Optional[np.ndarray] = None
         self._matrix: Optional[np.ndarray] = None
-        self._ambient: Optional[np.ndarray] = None
+        self._pairs: List[tuple] = []
+        self._fan_rows: List[tuple] = []
+        self._fault_rows: List[tuple] = []
 
-    def on_run_start(self, ctx: EngineContext) -> None:
-        thermal = ctx.state.thermal
-        self._sink_decay = float(
-            np.exp(-ctx.dt / thermal.socket_tau_s)
-        )
-        self._chip_decay = float(np.exp(-ctx.dt / thermal.chip_tau_s))
-        n = ctx.topology.n_sockets
-        self._scratch = np.empty(n)
-        self._theta = np.empty(n)
-        self._ema = np.empty(n)
-        self._matrix = ctx.topology.coupling.matrix
-        self._ambient = np.empty(n)
+    def on_run_start(self, batch, members) -> None:
+        thermal = batch.thermal
+        self._sink_decay = float(np.exp(-batch.dt / thermal.socket_tau_s))
+        self._chip_decay = float(np.exp(-batch.dt / thermal.chip_tau_s))
+        size = batch.tdp.size
+        self._scratch = np.empty(size)
+        self._theta = np.empty(size)
+        self._ema = np.empty(size)
+        self._matrix = batch.topology.coupling.matrix
+        ambient = batch.slabs.ambient_c
+        self._pairs = list(zip(self._scratch.reshape(batch.shape), ambient))
+        self._fan_rows = [
+            (ambient[k], ctx)
+            for k, ctx in enumerate(batch.contexts)
+            if ctx.fan_active
+        ]
+        self._fault_rows = [
+            (ambient[k], ctx.fault_state)
+            for k, ctx in enumerate(batch.contexts)
+            if ctx.fault_state is not None
+        ]
 
-    def on_step(self, ctx: EngineContext) -> None:
-        state = ctx.state
-        power = ctx.power
-        inlet = ctx.inlet_c
-        sink_heat = state.thermal.sink_heat_output_w(
-            state.ambient_c, ctx.r_ext, out=self._scratch
-        )
+    def on_step(self, batch) -> None:
+        flat = batch.flat
+        power = flat.power_w
+        inlet = batch.inlet_c
+        thermal = batch.thermal
+        ambient = flat.ambient_c
+        thermal.sink_heat_output_w(ambient, batch.r_ext, out=self._scratch)
         # entry = inlet + M @ heat; the rise over inlet is divided by
         # the airflow scale and re-based on the inlet.  The round-trip
         # through the rise is kept even at scale 1.0 (the rounded
         # subtraction is part of the historical trajectory); only the
         # exact division by 1.0 is skipped.
-        ambient = np.matmul(self._matrix, sink_heat, out=self._ambient)
+        # ndarray.dot reaches the same dgemv as np.matmul at a third
+        # of the call overhead.
+        dot = self._matrix.dot
+        for heat, entry in self._pairs:
+            dot(heat, out=entry)
         ambient += inlet
         ambient -= inlet
-        if ctx.airflow_scale != 1.0:
-            ambient /= ctx.airflow_scale
-        faults = ctx.fault_state
-        if faults is not None and faults.airflow_degraded:
-            # Degraded fan lanes amplify their sockets' entry rises as
-            # 1/residual-airflow, on top of any global fan-control
-            # scale.
-            ambient /= faults.airflow_factor
+        for entry, ctx in self._fan_rows:
+            if ctx.airflow_scale != 1.0:
+                entry /= ctx.airflow_scale
+        for entry, faults in self._fault_rows:
+            if faults.airflow_degraded:
+                # Degraded fan lanes amplify their sockets' entry
+                # rises as 1/residual-airflow, on top of any global
+                # fan-control scale.
+                entry /= faults.airflow_factor
         ambient += inlet
-        state.ambient_c = ambient
-        theta = np.multiply(ctx.theta_slope, power, out=self._theta)
-        theta += ctx.theta_offset
-        state.thermal.step_decayed(
+        theta = np.multiply(batch.theta_slope, power, out=self._theta)
+        theta += batch.theta_offset
+        thermal.step_decayed(
             self._sink_decay,
             self._chip_decay,
             ambient,
             power,
-            ctx.params.r_int,
-            ctx.r_ext,
+            batch.params.r_int,
+            batch.r_ext,
             theta,
             scratch=self._scratch,
         )
         # history += alpha * (chip - history), accumulated in place.
-        alpha = ctx.history_alpha
-        ema = np.subtract(state.chip_c, state.history_c, out=self._ema)
+        alpha = batch.history_alpha
+        ema = np.subtract(flat.chip_c, flat.history_c, out=self._ema)
         ema *= alpha
-        state.history_c += ema
-        np.subtract(state.busy, state.busy_ema, out=ema)
+        flat.history_c += ema
+        np.subtract(flat.busy, flat.busy_ema, out=ema)
         ema *= alpha
-        state.busy_ema += ema
+        flat.busy_ema += ema
 
 
-class MetricsAccumulator(StepComponent):
-    """Accumulate measurement-window metrics into the run result.
+class MetricsAccumulator(BatchPhase):
+    """Accumulate measurement-window metrics into the run results.
 
     Pure observer over the step's final state: energy, cooling energy,
     retired work, busy/boost time, the frequency-time product and the
-    per-socket temperature high-water mark.
+    per-socket temperature high-water mark.  The per-socket metrics
+    accumulate in the result slabs; the energy scalars per point.
     """
 
     def __init__(self) -> None:
-        self._scale_time_product = 0.0
         self._buf: Optional[np.ndarray] = None
+        self._results: List[SimulationResult] = []
+        self._fan_rows: List[tuple] = []
+        self._scale_time: List[float] = []
 
-    def on_run_start(self, ctx: EngineContext) -> None:
-        self._scale_time_product = 0.0
-        self._buf = np.empty(ctx.topology.n_sockets)
+    def on_run_start(self, batch, members) -> None:
+        self._buf = np.empty(batch.tdp.size)
+        self._results = [ctx.result for ctx in batch.contexts]
+        self._fan_rows = [
+            (k, ctx) for k, ctx in enumerate(batch.contexts)
+            if ctx.fan_active
+        ]
+        self._scale_time = [0.0] * batch.n_points
 
-    def on_step(self, ctx: EngineContext) -> None:
-        if not ctx.in_window:
+    def on_step(self, batch) -> None:
+        if not batch.in_window:
             return
-        result = ctx.result
-        state = ctx.state
-        dt = ctx.dt
-        busy_frac = ctx.busy_frac
+        flat = batch.flat
+        dt = batch.dt
+        busy_frac = flat.busy_frac
         buf = self._buf
-        result.energy_j += float(ctx.power.sum()) * dt
-        result.cooling_energy_j += ctx.fan_power_w * dt
-        self._scale_time_product += ctx.airflow_scale * dt
-        result.work_done += ctx.retired
+        # A C-contiguous slab reduces each row with the same pairwise
+        # summation as the row on its own, so these sums are the
+        # per-point sums bit for bit.
+        energy = batch.slabs.power_w.sum(axis=1).tolist()
+        for result, joules in zip(self._results, energy):
+            result.energy_j += joules * dt
+        scale_time = self._scale_time
+        for k, ctx in self._fan_rows:
+            ctx.result.cooling_energy_j += ctx.fan_power_w * dt
+            scale_time[k] += ctx.airflow_scale * dt
+        flat.work_done += flat.retired
         np.multiply(busy_frac, dt, out=buf)
-        result.busy_time_s += buf
+        flat.busy_time_s += buf
         # freq_time += (freq / max) * busy_frac * dt, in place.
-        np.divide(state.freq_mhz, ctx.max_mhz, out=buf)
+        np.divide(flat.freq_mhz, batch.max_mhz, out=buf)
         buf *= busy_frac
         buf *= dt
-        result.freq_time_product += buf
-        boosting = (state.freq_mhz > ctx.sustained_mhz) & (
+        flat.freq_time_product += buf
+        boosting = (flat.freq_mhz > batch.sustained_mhz) & (
             busy_frac > 0
         )
         np.multiply(boosting, busy_frac, out=buf)
         buf *= dt
-        result.boost_time_s += buf
-        np.maximum(
-            result.max_chip_c, state.chip_c, out=result.max_chip_c
-        )
+        flat.boost_time_s += buf
+        np.maximum(flat.max_chip_c, flat.chip_c, out=flat.max_chip_c)
 
-    def on_run_end(self, ctx: EngineContext) -> None:
-        if ctx.params.measured_span_s > 0:
-            ctx.result.mean_airflow_scale = (
-                self._scale_time_product / ctx.params.measured_span_s
-                if ctx.fan_active
-                else 1.0
-            )
+    def on_run_end(self, batch) -> None:
+        span = batch.params.measured_span_s
+        if span > 0:
+            for k, ctx in enumerate(batch.contexts):
+                ctx.result.mean_airflow_scale = (
+                    self._scale_time[k] / span if ctx.fan_active else 1.0
+                )
 
 
 class Tracer(StepComponent):
@@ -824,7 +1015,10 @@ def build_pipeline(
     ``extra_components`` are appended after the standard pipeline —
     safe for read-only observers; components that mutate state must
     instead be spliced in explicitly at the right phase (see
-    ``docs/architecture.md``).
+    ``docs/architecture.md``).  The :class:`BatchPhase` physics must
+    stay one contiguous band: the engine runs what precedes it per
+    point, then the band over the whole batch, then the rest per
+    point.
     """
     components: List[StepComponent] = [ArrivalAdmitter()]
     if fault_injector is not None:

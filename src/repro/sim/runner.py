@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..config.parameters import SimulationParameters
 from ..errors import ConfigurationError
 from ..server.topology import ServerTopology
 from ..workloads.arrivals import ArrivalProcess
 from ..workloads.benchmark import BenchmarkSet
+from ..workloads.job import Job
 from .engine import Simulation
 from .invariants import DEFAULT_INTERVAL_STEPS
 from .results import SimulationResult
@@ -51,6 +52,42 @@ def run_once(
             ``result.profile`` (implied by ``telemetry.profile``).
         run_name: Base name for the run's telemetry artifacts.
     """
+    simulation, jobs = point_simulation(
+        topology,
+        params,
+        scheduler,
+        benchmark_set,
+        load,
+        auditor=auditor,
+        fault_schedule=fault_schedule,
+        telemetry=telemetry,
+        profile=profile,
+        run_name=run_name,
+    )
+    result = simulation.run(jobs)
+    save_point_manifest(
+        simulation, benchmark_set, load, fault_schedule, result
+    )
+    return result
+
+
+def point_simulation(
+    topology: ServerTopology,
+    params: SimulationParameters,
+    scheduler,
+    benchmark_set: BenchmarkSet,
+    load: float,
+    auditor=None,
+    fault_schedule=None,
+    telemetry=None,
+    profile: bool = False,
+    run_name: str = "run",
+) -> Tuple[Simulation, List[Job]]:
+    """The simulation and job stream of one sweep point, not yet run.
+
+    Takes the arguments of :func:`run_once`; a caller running many
+    points hands the pairs to :func:`~repro.sim.engine.run_lockstep`.
+    """
     arrivals = ArrivalProcess(
         benchmark_set=benchmark_set,
         load=load,
@@ -69,27 +106,40 @@ def run_once(
         profile=profile,
         run_name=run_name,
     )
-    result = simulation.run(jobs)
-    if simulation.telemetry is not None:
-        from pathlib import Path
+    return simulation, jobs
 
-        from ..obs.manifest import manifest_for_point
 
-        manifest = manifest_for_point(
-            topology,
-            params,
-            getattr(scheduler, "name", "unknown"),
-            benchmark_set,
-            load,
-            fault_schedule=fault_schedule,
-            result=result,
-            profile=result.profile,
-        )
-        manifest.save(
-            Path(simulation.telemetry.directory)
-            / f"{run_name}.manifest.json"
-        )
-    return result
+def save_point_manifest(
+    simulation: Simulation,
+    benchmark_set: BenchmarkSet,
+    load: float,
+    fault_schedule,
+    result: SimulationResult,
+) -> None:
+    """Write a telemetry run's ``<run_name>.manifest.json`` sidecar.
+
+    Does nothing when the simulation records no telemetry.
+    """
+    if simulation.telemetry is None:
+        return
+    from pathlib import Path
+
+    from ..obs.manifest import manifest_for_point
+
+    manifest = manifest_for_point(
+        simulation.topology,
+        simulation.params,
+        getattr(simulation.scheduler, "name", "unknown"),
+        benchmark_set,
+        load,
+        fault_schedule=fault_schedule,
+        result=result,
+        profile=result.profile,
+    )
+    manifest.save(
+        Path(simulation.telemetry.directory)
+        / f"{simulation.run_name}.manifest.json"
+    )
 
 
 def run_sweep(

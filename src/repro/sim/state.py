@@ -187,3 +187,45 @@ class SimulationState:
         self.perf_drop[socket_id] = 0.0
         self.running_jobs[socket_id] = None
         return job
+
+
+#: Per-socket state arrays a lockstep batch stacks into slabs.
+STATE_FIELDS = (
+    "busy", "freq_mhz", "remaining_work_ms", "dyn_max_w", "dyn_exp",
+    "perf_drop", "power_w", "ambient_c", "history_c", "busy_ema",
+)
+
+#: Per-socket result accumulators a lockstep batch stacks into slabs.
+RESULT_FIELDS = (
+    "work_done", "busy_time_s", "freq_time_product", "boost_time_s",
+    "max_chip_c",
+)
+
+
+class StateSlabs:
+    """``(K, n)`` slabs whose rows are the arrays of K points.
+
+    Stacking copies each point's current arrays into one row of a
+    fresh slab and rebinds the point's attribute to that row, so the
+    point keeps reading and writing its own state through ordinary
+    ``(n,)`` views while the physics phases advance all K rows with
+    one numpy call each.  From here on nothing may *rebind* a stacked
+    attribute (that would detach the point from its row); every write
+    goes into the row in place.
+
+    Attributes:
+        sink_c, chip_c: The two thermal node slabs.
+        <STATE_FIELDS>, <RESULT_FIELDS>: One slab per stacked field.
+    """
+
+    def __init__(self, states, results) -> None:
+        for owners, names in (
+            (states, STATE_FIELDS),
+            ([s.thermal for s in states], ("sink_c", "chip_c")),
+            (results, RESULT_FIELDS),
+        ):
+            for name in names:
+                slab = np.stack([getattr(o, name) for o in owners])
+                setattr(self, name, slab)
+                for k, owner in enumerate(owners):
+                    setattr(owner, name, slab[k])

@@ -14,10 +14,10 @@ topology, parameters, clock), so existing policies work unchanged and
 unit tests may still pass a raw ``SimulationState`` where convenient —
 the view is what the engine hands to policies in real runs.
 
-Array views are created per access because the underlying state rebinds
-arrays (warm start, thermal updates); each access therefore always
-reflects the live state.  Creating a view is allocation-light (no data
-copy).
+Array views are created per access because the underlying state's
+arrays are rebound once, to rows of the batch's slabs, when a lockstep
+run starts; each access therefore always reflects the live state.
+Creating a view is allocation-light (no data copy).
 """
 
 from __future__ import annotations

@@ -196,24 +196,23 @@ class TestCheckpointedSweep:
 import os, signal
 from repro.config.presets import smoke
 from repro.server.topology import moonshot_sut
-from repro.sim import parallel
 from repro.sim.checkpoint import CHECKPOINT_SUFFIX, SweepCheckpoint
 from repro.sim.parallel import execute_sweep
 from repro.workloads.benchmark import BenchmarkSet
 
 directory = os.environ["CKPT_DIR"]
-real_run_point = parallel._run_point
+real_save = SweepCheckpoint.save
 
-def killing_run_point(*args, **kwargs):
+def killing_save(self, *args, **kwargs):
     done = sum(
         1 for name in os.listdir(directory)
         if name.endswith(CHECKPOINT_SUFFIX)
     ) if os.path.isdir(directory) else 0
     if done >= 2:
         os.kill(os.getpid(), signal.SIGKILL)
-    return real_run_point(*args, **kwargs)
+    return real_save(self, *args, **kwargs)
 
-parallel._run_point = killing_run_point
+SweepCheckpoint.save = killing_save
 points = [
     ("CF", BenchmarkSet.COMPUTATION, 0.3),
     ("HF", BenchmarkSet.COMPUTATION, 0.3),

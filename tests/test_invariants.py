@@ -166,7 +166,9 @@ class TestEngineIntegration:
 
         def poisoned(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            self.chip_c[2] = float("nan")
+            # The engine advances a (K, n) slab; poison socket 2 of
+            # every row.
+            self.chip_c[..., 2] = float("nan")
 
         monkeypatch.setattr(
             TwoNodeThermalState, "step_decayed", poisoned

@@ -31,8 +31,10 @@ class _NullComponent:
         pass
 
 
-def _fake_ctx(n_steps):
+def _fake_ctx(n_steps, components, profiler=None):
     return SimpleNamespace(
+        components=components,
+        profiler=profiler,
         n_steps=n_steps,
         dt=0.001,
         warmup_s=0.0,
@@ -82,8 +84,8 @@ def test_engine_accounting_is_exact():
     n_steps, n_components = 5, 3
     profiler = StepProfiler(clock=_FakeClock())
     components = [_NullComponent() for _ in range(n_components)]
-    ctx = _fake_ctx(n_steps)
-    Engine(components, profiler=profiler).run(ctx)
+    ctx = _fake_ctx(n_steps, components, profiler)
+    Engine().run([ctx])
     profile = ctx.result.profile
     assert isinstance(profile, RunProfile)
     assert profile.n_steps == n_steps
@@ -99,8 +101,8 @@ def test_engine_accounting_is_exact():
 
 
 def test_unprofiled_engine_attaches_no_profile():
-    ctx = _fake_ctx(3)
-    Engine([_NullComponent()]).run(ctx)
+    ctx = _fake_ctx(3, [_NullComponent()])
+    Engine().run([ctx])
     assert ctx.result.profile is None
 
 

@@ -94,7 +94,10 @@ class TestProfilerProperties:
         non-negative, calls are exactly ``n_steps + 2``, and the sum of
         attributed time never exceeds the engine's elapsed time."""
         profiler = StepProfiler(clock=_ScriptedClock(increments))
+        components = [_NullComponent() for _ in range(n_components)]
         ctx = SimpleNamespace(
+            components=components,
+            profiler=profiler,
             n_steps=n_steps,
             dt=0.001,
             warmup_s=0.0,
@@ -104,8 +107,7 @@ class TestProfilerProperties:
             time_s=0.0,
             in_window=False,
         )
-        components = [_NullComponent() for _ in range(n_components)]
-        Engine(components, profiler=profiler).run(ctx)
+        Engine().run([ctx])
         profile = ctx.result.profile
         assert profile.n_steps == n_steps
         assert len(profile.components) == n_components

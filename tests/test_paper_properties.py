@@ -9,10 +9,9 @@ and are the slowest tests in the suite.
 import pytest
 
 from repro.config.presets import scaled
-from repro.core import get_scheduler
 from repro.metrics.zones import zone_report
 from repro.server.topology import moonshot_sut
-from repro.sim.runner import run_once
+from repro.sim.runner import run_sweep
 from repro.workloads.benchmark import BenchmarkSet
 
 
@@ -28,20 +27,15 @@ def params():
 
 @pytest.fixture(scope="module")
 def results(topology, params):
-    """Expansion for the pivotal schemes at a low and a high load."""
+    """Expansion for the pivotal schemes at a low and a high load.
+
+    One lockstep sweep; each point is bit-identical to its own run.
+    """
     schemes = ("CF", "HF", "MinHR", "Predictive", "CP", "Random")
-    out = {}
-    for load in (0.3, 0.8):
-        for scheme in schemes:
-            result = run_once(
-                topology,
-                params,
-                get_scheduler(scheme),
-                BenchmarkSet.COMPUTATION,
-                load,
-            )
-            out[(scheme, load)] = result
-    return out
+    sweep = run_sweep(
+        topology, params, schemes, [BenchmarkSet.COMPUTATION], (0.3, 0.8)
+    )
+    return {(scheme, load): result for (scheme, _, load), result in sweep.items()}
 
 
 def expansion(results, scheme, load):
@@ -177,20 +171,14 @@ class TestStorageMuted:
         self, topology, params
     ):
         """Figure 14: Storage shows muted differences across schemes."""
+        sets = (BenchmarkSet.COMPUTATION, BenchmarkSet.STORAGE)
+        sweep = run_sweep(topology, params, ("CF", "HF", "CP"), sets, (0.3,))
         spreads = {}
-        for benchmark_set in (
-            BenchmarkSet.COMPUTATION,
-            BenchmarkSet.STORAGE,
-        ):
+        for benchmark_set in sets:
             values = [
-                run_once(
-                    topology,
-                    params,
-                    get_scheduler(scheme),
-                    benchmark_set,
-                    0.3,
-                ).mean_runtime_expansion
-                for scheme in ("CF", "HF", "CP")
+                result.mean_runtime_expansion
+                for (_, bset, _), result in sweep.items()
+                if bset is benchmark_set
             ]
             spreads[benchmark_set] = max(values) / min(values) - 1.0
         assert (
