@@ -461,12 +461,10 @@ class LockstepBatch:
     Attributes:
         contexts: The points' contexts, in row order.
         slabs: The stacked state and result arrays, ``(K, n)`` each.
-        flat: The same arrays (plus ``retired`` and ``busy_frac``) as
-            flat ``(K * n,)`` views.
+        flat: The same arrays as flat ``(K * n,)`` views, plus this
+            step's ``retired`` work (ms) and ``busy_frac`` per socket.
         thermal: Two-node thermal state over the flat ``sink_c`` and
             ``chip_c``.
-        retired: This step's retired work per row, ms.
-        busy_frac: This step's busy fraction per row.
         r_ext, theta_offset, theta_slope, gated_power, tdp: Per-socket
             constants tiled to ``(K * n,)``.
         step, time_s, in_window: The shared clock (engine-owned).
@@ -499,11 +497,11 @@ class LockstepBatch:
             [ctx.state for ctx in self.contexts],
             [ctx.result for ctx in self.contexts],
         )
-        self.retired = np.zeros(self.shape)
-        self.busy_frac = np.zeros(self.shape)
+        retired = np.zeros(self.shape)
+        busy_frac = np.zeros(self.shape)
         self.flat = SimpleNamespace(
-            retired=self.retired.reshape(-1),
-            busy_frac=self.busy_frac.reshape(-1),
+            retired=retired.reshape(-1),
+            busy_frac=busy_frac.reshape(-1),
             **{
                 name: slab.reshape(-1)
                 for name, slab in vars(self.slabs).items()
@@ -517,8 +515,8 @@ class LockstepBatch:
         )
         for k, ctx in enumerate(self.contexts):
             ctx.power = self.slabs.power_w[k]
-            ctx.retired = self.retired[k]
-            ctx.busy_frac = self.busy_frac[k]
+            ctx.retired = retired[k]
+            ctx.busy_frac = busy_frac[k]
         self.step = 0
         self.time_s = 0.0
         self.in_window = False
