@@ -39,7 +39,7 @@ from repro.obs.profiler import StepProfiler
 from repro.obs.session import TelemetryConfig
 from repro.obs.writer import read_events
 from repro.sim.checkpoint import SweepCheckpoint
-from repro.sim.engine import Simulation, run_lockstep
+from repro.sim.engine import Engine, Simulation, run_lockstep
 from repro.sim.fingerprint import result_fingerprint
 from repro.sim.invariants import InvariantAuditor, InvariantViolation
 from repro.sim.parallel import execute_sweep
@@ -279,6 +279,40 @@ class TestFailures:
             _lockstep([runs[0], (runs[1][0], runs[0][1])])
         with pytest.raises(SimulationError, match="simulation"):
             _lockstep([runs[0], (runs[0][0], runs[1][1])])
+
+    def test_incompatible_batches_rejected(self, small_sut):
+        with pytest.raises(SimulationError, match="at least one context"):
+            Engine().run([])
+        runs = self._runs(small_sut)
+        other, jobs = point_simulation(
+            small_sut, smoke(seed=4), get_scheduler("CF"), COMPUTATION, 0.6
+        )
+        with pytest.raises(SimulationError, match="parameter set"):
+            _lockstep([runs[0], (other, jobs)])
+        fan, jobs = point_simulation(
+            small_sut, smoke(seed=3), get_scheduler("CF"), COMPUTATION, 0.6
+        )
+        fan.fan_controller = FanController()
+        with pytest.raises(SimulationError, match="physics phases"):
+            _lockstep([runs[0], (fan, jobs)])
+
+    def test_physics_band_must_be_contiguous(self, small_sut):
+        simulation, jobs = self._runs(small_sut)[0]
+        ctx = simulation.prepare(jobs)
+        ctx.components.insert(-1, _FailAt(-1, None))
+        with pytest.raises(SimulationError, match="contiguous"):
+            Engine().run([ctx])
+
+    def test_failure_in_a_profiled_batch(self, small_sut):
+        runs = self._runs(
+            small_sut, _FailAt(40, InvariantViolation("x", 40, 0, 1.0, "i"))
+        )
+        for simulation, _ in runs:
+            simulation.profile = True
+        outcomes = _lockstep(runs)
+        assert isinstance(outcomes[1], InvariantViolation)
+        for i in (0, 2, 3):
+            assert outcomes[i].profile.n_steps > 40
 
     def test_resumed_sweep_reruns_only_the_failed_point(
         self, tmp_path, small_sut, monkeypatch
