@@ -17,7 +17,7 @@ of them together, and :meth:`Simulation.run` is the batch of one.
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -523,23 +523,30 @@ class Simulation:
             SimulationError: if no job completed in the window, or
                 whatever ended the run.
         """
-        (outcome,) = run_lockstep([self], [jobs])
+        (outcome,) = run_lockstep([(self, jobs)])
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
 
 def run_lockstep(
-    simulations: Sequence[Simulation], job_streams: Sequence[Sequence[Job]]
+    runs: Iterable[Tuple[Simulation, Sequence[Job]]],
 ) -> List[Outcome]:
     """Run several simulations together, stepping them in lockstep.
 
     Every point advances exactly as it would alone (bit-identical
     results); the physics of all points runs as one batch per step.
-    The simulations must share one topology object and equal
-    parameters, and must not share a simulation, scheduler or job
-    list (nor job objects across lists) — points are interleaved step
-    by step, so any shared mutable object would couple them.
+
+    Args:
+        runs: ``(simulation, jobs)`` pairs, consumed once.  Each job
+            stream is only read while its point is prepared, so a
+            caller that passes a generator lets the batch hold each
+            job only until the run no longer needs it.  The
+            simulations must share one topology object and equal
+            parameters, and must not share a simulation, scheduler or
+            job object — points are interleaved step by step, so any
+            shared mutable object would couple them (shared jobs are
+            detected by each stream's first job).
 
     Returns:
         One outcome per simulation, in order: its result, or the
@@ -548,20 +555,20 @@ def run_lockstep(
         in one point's own components never ends the others; one in
         a physics phase ends the batch and propagates.
     """
-    if len(simulations) != len(job_streams):
-        raise SimulationError("one job stream per simulation")
+    simulations = []
+    contexts = []
+    for simulation, jobs in runs:
+        simulations.append(simulation)
+        contexts.append(simulation.prepare(jobs))
     for owners, what in (
         (simulations, "simulation"),
-        ([sim.scheduler for sim in simulations], "scheduler"),
-        (job_streams, "job list"),
+        ([ctx.scheduler for ctx in contexts], "scheduler"),
+        ([ctx.ordered_jobs[0] for ctx in contexts if ctx.ordered_jobs], "job"),
     ):
         if len({id(owner) for owner in owners}) != len(owners):
             raise SimulationError(
                 f"lockstep points must not share a {what} object"
             )
-    contexts = [
-        sim.prepare(jobs) for sim, jobs in zip(simulations, job_streams)
-    ]
     outcomes = Engine().run(contexts)
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, SimulationResult) and not outcome.completed_jobs:

@@ -280,16 +280,18 @@ def _run_points(
     from .engine import run_lockstep
     from .runner import point_simulation, save_point_manifest
 
-    runs = []
-    for i, (name, benchmark_set, load) in enumerate(points):
-        auditor = None
-        if audit:
-            from .invariants import InvariantAuditor
+    simulations = []
 
-            auditor = InvariantAuditor(interval_steps=audit_interval)
-        key = point_keys[i] if point_keys is not None else None
-        runs.append(
-            point_simulation(
+    def runs():
+        # A generator, so no job stream outlives its point's set-up.
+        for i, (name, benchmark_set, load) in enumerate(points):
+            auditor = None
+            if audit:
+                from .invariants import InvariantAuditor
+
+                auditor = InvariantAuditor(interval_steps=audit_interval)
+            key = point_keys[i] if point_keys is not None else None
+            simulation, jobs = point_simulation(
                 topology,
                 params,
                 get_scheduler(name),
@@ -301,11 +303,11 @@ def _run_points(
                 profile=profile,
                 run_name="run" if key is None else f"point-{key[:12]}",
             )
-        )
-    outcomes = run_lockstep(
-        [simulation for simulation, _ in runs], [jobs for _, jobs in runs]
-    )
-    for (simulation, _), point, outcome in zip(runs, points, outcomes):
+            simulations.append(simulation)
+            yield simulation, jobs
+
+    outcomes = run_lockstep(runs())
+    for simulation, point, outcome in zip(simulations, points, outcomes):
         if isinstance(outcome, SimulationResult):
             save_point_manifest(
                 simulation, point[1], point[2], fault_schedule, outcome

@@ -92,7 +92,9 @@ class EngineContext:
         rng: Run RNG (seeded from ``params.seed``); policies draw from
             it in decision order, which fixes the draw sequence.
         result: Accumulating run result.
-        ordered_jobs: Jobs sorted by ``(arrival_s, job_id)``.
+        ordered_jobs: Jobs not yet admitted, sorted by
+            ``(arrival_s, job_id)``; admission pops them, so the run
+            holds no job it no longer needs.
         queue: Central FIFO of admitted-but-unplaced jobs.
         dt: Engine step, seconds (the power-manager interval).
         dt_ms: Engine step, milliseconds.
@@ -135,7 +137,7 @@ class EngineContext:
     view: SchedulerView
     rng: np.random.Generator
     result: SimulationResult
-    ordered_jobs: List[Job]
+    ordered_jobs: deque
     queue: deque = field(default_factory=deque)
 
     # Clock constants.
@@ -227,7 +229,7 @@ class EngineContext:
             view=SchedulerView(state),
             rng=rng,
             result=result,
-            ordered_jobs=ordered_jobs,
+            ordered_jobs=deque(ordered_jobs),
             dt=dt,
             dt_ms=dt * 1000.0,
             n_steps=int(round(params.sim_time_s / dt)),
@@ -269,28 +271,21 @@ class StepComponent:
 class ArrivalAdmitter(StepComponent):
     """Admit jobs whose arrival time has come into the central queue.
 
-    Jobs are consumed from ``ctx.ordered_jobs`` (sorted by
+    Jobs are popped from ``ctx.ordered_jobs`` (sorted by
     ``(arrival_s, job_id)`` — the id tie-break makes results
     independent of the caller's list order for same-timestamp
     arrivals).
     """
 
-    def __init__(self) -> None:
-        self._pointer = 0
-
     def on_run_start(self, ctx: EngineContext) -> None:
-        self._pointer = 0
         ctx.queue.clear()
 
     def on_step(self, ctx: EngineContext) -> None:
         ordered = ctx.ordered_jobs
-        pointer = self._pointer
         t = ctx.time_s
         queue = ctx.queue
-        while pointer < len(ordered) and ordered[pointer].arrival_s <= t:
-            queue.append(ordered[pointer])
-            pointer += 1
-        self._pointer = pointer
+        while ordered and ordered[0].arrival_s <= t:
+            queue.append(ordered.popleft())
         if len(queue) > ctx.result.max_queue_length:
             ctx.result.max_queue_length = len(queue)
 

@@ -54,7 +54,7 @@ STORAGE = BenchmarkSet.STORAGE
 
 def _lockstep(runs):
     """Run ``(simulation, jobs)`` pairs as one batch."""
-    return run_lockstep([sim for sim, _ in runs], [jobs for _, jobs in runs])
+    return run_lockstep(runs)
 
 
 def _oracle_run(topology, scheduler, benchmark_set, load):
@@ -275,7 +275,7 @@ class TestFailures:
 
     def test_shared_objects_rejected(self, small_sut):
         runs = self._runs(small_sut)
-        with pytest.raises(SimulationError, match="job list"):
+        with pytest.raises(SimulationError, match="job object"):
             _lockstep([runs[0], (runs[1][0], runs[0][1])])
         with pytest.raises(SimulationError, match="simulation"):
             _lockstep([runs[0], (runs[0][0], runs[1][1])])
