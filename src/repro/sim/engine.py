@@ -543,10 +543,11 @@ def run_lockstep(
             caller that passes a generator lets the batch hold each
             job only until the run no longer needs it.  The
             simulations must share one topology object and equal
-            parameters, and must not share a simulation, scheduler or
-            job object — points are interleaved step by step, so any
-            shared mutable object would couple them (shared jobs are
-            detected by each stream's first job).
+            parameters, and must not share a simulation, scheduler,
+            auditor, migrator, fan controller or job object — points
+            are interleaved step by step, so any shared object would
+            couple them (shared jobs are detected by each stream's
+            first job).
 
     Returns:
         One outcome per simulation, in order: its result, or the
@@ -560,14 +561,22 @@ def run_lockstep(
     for simulation, jobs in runs:
         simulations.append(simulation)
         contexts.append(simulation.prepare(jobs))
+
+    def attached(attribute):
+        owners = (getattr(simulation, attribute) for simulation in simulations)
+        return [owner for owner in owners if owner is not None]
+
     for owners, what in (
-        (simulations, "simulation"),
-        ([ctx.scheduler for ctx in contexts], "scheduler"),
-        ([ctx.ordered_jobs[0] for ctx in contexts if ctx.ordered_jobs], "job"),
+        (simulations, "a simulation"),
+        ([ctx.scheduler for ctx in contexts], "a scheduler"),
+        (attached("auditor"), "an auditor"),
+        (attached("migrator"), "a migrator"),
+        (attached("fan_controller"), "a fan controller"),
+        ([ctx.ordered_jobs[0] for ctx in contexts if ctx.ordered_jobs], "a job"),
     ):
         if len({id(owner) for owner in owners}) != len(owners):
             raise SimulationError(
-                f"lockstep points must not share a {what} object"
+                f"lockstep points must not share {what} object"
             )
     outcomes = Engine().run(contexts)
     for i, outcome in enumerate(outcomes):

@@ -52,11 +52,6 @@ COMPUTATION = BenchmarkSet.COMPUTATION
 STORAGE = BenchmarkSet.STORAGE
 
 
-def _lockstep(runs):
-    """Run ``(simulation, jobs)`` pairs as one batch."""
-    return run_lockstep(runs)
-
-
 def _oracle_run(topology, scheduler, benchmark_set, load):
     return point_simulation(
         topology, smoke(seed=ORACLE_SEED), scheduler, benchmark_set, load
@@ -65,7 +60,7 @@ def _oracle_run(topology, scheduler, benchmark_set, load):
 
 class TestGoldenMatricesAsBatches:
     def test_scheduler_matrix(self, small_sut):
-        outcomes = _lockstep(
+        outcomes = run_lockstep(
             [
                 _oracle_run(small_sut, get_scheduler(name), bset, load)
                 for name, bset, load in SCHEDULER_CONFIGS
@@ -78,7 +73,7 @@ class TestGoldenMatricesAsBatches:
             ), scheduler_id(*config)
 
     def test_policy_matrix(self, small_sut):
-        outcomes = _lockstep(
+        outcomes = run_lockstep(
             [
                 _oracle_run(
                     small_sut, make_policy(policy, kwargs), bset, load
@@ -180,7 +175,7 @@ def test_mixed_batch_matches_each_point_alone(tmp_path, small_sut, fan):
     for point in MIXED:
         simulation, jobs = _mixed_run(small_sut, alone_dir, point, fan)
         alone.append(simulation.run(jobs))
-    batch = _lockstep(
+    batch = run_lockstep(
         [_mixed_run(small_sut, batch_dir, point, fan) for point in MIXED]
     )
     for point, single, batched in zip(MIXED, alone, batch):
@@ -246,11 +241,11 @@ class TestFailures:
         return runs
 
     def test_one_failing_point_leaves_the_others_exact(self, small_sut):
-        clean = _lockstep(self._runs(small_sut))
+        clean = run_lockstep(self._runs(small_sut))
         violation = InvariantViolation(
             "finite chip temperature", 40, 2, float("nan"), "injected"
         )
-        outcomes = _lockstep(self._runs(small_sut, _FailAt(40, violation)))
+        outcomes = run_lockstep(self._runs(small_sut, _FailAt(40, violation)))
         assert outcomes[1] is violation
         for i in (0, 2, 3):
             assert result_fingerprint(outcomes[i]) == result_fingerprint(
@@ -268,7 +263,7 @@ class TestFailures:
         runs = self._runs(small_sut)
         simulation, _ = runs[2]
         runs[2] = (simulation, [])
-        outcomes = _lockstep(runs)
+        outcomes = run_lockstep(runs)
         assert isinstance(outcomes[2], SimulationError)
         assert "no jobs completed" in str(outcomes[2])
         assert all(outcomes[i].completed_jobs for i in (0, 1, 3))
@@ -276,9 +271,21 @@ class TestFailures:
     def test_shared_objects_rejected(self, small_sut):
         runs = self._runs(small_sut)
         with pytest.raises(SimulationError, match="job object"):
-            _lockstep([runs[0], (runs[1][0], runs[0][1])])
+            run_lockstep([runs[0], (runs[1][0], runs[0][1])])
         with pytest.raises(SimulationError, match="simulation"):
-            _lockstep([runs[0], (runs[0][0], runs[1][1])])
+            run_lockstep([runs[0], (runs[0][0], runs[1][1])])
+        shared = {
+            "auditor": InvariantAuditor(interval_steps=10),
+            "migrator": MigrationPolicy(),
+            "fan_controller": FanController(),
+        }
+        for attribute, owner in shared.items():
+            runs = self._runs(small_sut)[:2]
+            for simulation, _ in runs:
+                setattr(simulation, attribute, owner)
+            what = attribute.replace("_", " ")
+            with pytest.raises(SimulationError, match=f"share an? {what}"):
+                run_lockstep(runs)
 
     def test_incompatible_batches_rejected(self, small_sut):
         with pytest.raises(SimulationError, match="at least one context"):
@@ -288,13 +295,13 @@ class TestFailures:
             small_sut, smoke(seed=4), get_scheduler("CF"), COMPUTATION, 0.6
         )
         with pytest.raises(SimulationError, match="parameter set"):
-            _lockstep([runs[0], (other, jobs)])
+            run_lockstep([runs[0], (other, jobs)])
         fan, jobs = point_simulation(
             small_sut, smoke(seed=3), get_scheduler("CF"), COMPUTATION, 0.6
         )
         fan.fan_controller = FanController()
         with pytest.raises(SimulationError, match="physics phases"):
-            _lockstep([runs[0], (fan, jobs)])
+            run_lockstep([runs[0], (fan, jobs)])
 
     def test_physics_band_must_be_contiguous(self, small_sut):
         simulation, jobs = self._runs(small_sut)[0]
@@ -309,7 +316,7 @@ class TestFailures:
         )
         for simulation, _ in runs:
             simulation.profile = True
-        outcomes = _lockstep(runs)
+        outcomes = run_lockstep(runs)
         assert isinstance(outcomes[1], InvariantViolation)
         for i in (0, 2, 3):
             assert outcomes[i].profile.n_steps > 40
@@ -394,7 +401,7 @@ class TestProfileAttribution:
         clock = _FakeClock()
         runs = self._profiled_runs(small_sut, clock)
         before = clock.now
-        outcomes = _lockstep(runs)
+        outcomes = run_lockstep(runs)
         # The engine's first reading starts the run; its last ends it.
         measured = clock.now - before - 1.0
         profiles = [result.profile for result in outcomes]
@@ -419,7 +426,7 @@ class TestProfileAttribution:
             assert profile.total_component_s <= profile.engine_elapsed_s
 
     def test_placement_buckets_stay_per_point(self, small_sut):
-        batch = _lockstep(self._profiled_runs(small_sut, _FakeClock()))
+        batch = run_lockstep(self._profiled_runs(small_sut, _FakeClock()))
         for name, result in zip(self.NAMES, batch):
             simulation, jobs = point_simulation(
                 small_sut, smoke(seed=1), get_scheduler(name), COMPUTATION,
