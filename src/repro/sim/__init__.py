@@ -35,8 +35,8 @@ and auditor enforce graceful degradation; see
 All per-socket quantities are numpy arrays — batched over the DVFS
 ladder inside the power manager — so a step costs a fixed handful of
 vector operations regardless of socket count.  The engine steps a
-*batch* of points in lockstep (:func:`run_lockstep`; a sweep's serial
-path runs all its points as one): phases 1–3 and 9 run per point,
+*batch* of points in lockstep (:func:`run_lockstep`; a sweep runs its
+points in chunks of up to a dozen): phases 1–3 and 9 run per point,
 phases 4–8 once per step over ``(K, n)`` slabs holding every point's
 state as rows, so the physics cost per step does not grow with the
 number of points.  :meth:`Simulation.run` is the batch of one.

@@ -16,11 +16,15 @@ the results bit-identical to serial execution:
   ``fork`` (the only start method that is both cheap and inherits the
   loaded modules), or when the pool fails to come up.
 
-The serial path runs every pending point as one lockstep batch
-(:func:`~repro.sim.engine.run_lockstep`): the physics of all points
-advances together over ``(K, n)`` slabs, bit-identical to running the
-points one by one, and finished points are recorded in point order.
-Pool workers run one point each (a batch of one).
+Points run in lockstep chunks (:func:`~repro.sim.engine.run_lockstep`):
+the physics of a chunk's points advances together over ``(K, n)``
+slabs, bit-identical to running the points one by one.  The pending
+points split into chunks of at most :data:`LOCKSTEP_CHUNK` points, in
+point order; the serial path runs the chunks one after another and
+pool workers each take one chunk at a time.  A chunk's points all
+finish on its last step and are recorded (cache, checkpoint) before
+the next chunk starts, so a kill loses at most the chunk in flight
+and live memory holds at most one chunk per process.
 
 The pool path is additionally *crash-resilient*: a worker that dies
 (OOM kill, segfault) breaks the pool, and the harness rebuilds it and
@@ -42,8 +46,8 @@ Cached results are returned by reference; callers must treat
 :class:`~repro.sim.results.SimulationResult` objects as read-only
 (which every experiment already does).  For durability *across*
 processes, pass a :class:`~repro.sim.checkpoint.SweepCheckpoint`:
-every finished point is persisted immediately, so an interrupted sweep
-resumes bit-identically.
+every finished point is persisted as soon as its chunk ends, so an
+interrupted sweep resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -73,6 +77,12 @@ ENV_CACHE_MAX = "REPRO_CACHE_MAX"
 
 #: Default cache bound when ``REPRO_CACHE_MAX`` is unset.
 DEFAULT_CACHE_MAX = 256
+
+#: Most points one lockstep chunk runs together.  Per-point throughput
+#: grows with the chunk while numpy call overhead dominates; past a
+#: dozen points the gain is small, and each point's run state (queues,
+#: running jobs, telemetry writer) stays live until its chunk ends.
+LOCKSTEP_CHUNK = 12
 
 
 def topology_token(topology: ServerTopology) -> bytes:
@@ -261,13 +271,12 @@ def _run_points(
     profile: bool = False,
     point_keys: Optional[Sequence[Optional[str]]] = None,
 ) -> list:
-    """Execute sweep points as one lockstep batch.
+    """Execute one lockstep chunk of sweep points.
 
-    Runs in the serial path (every pending point) and in pool workers
-    (a batch of one).  Each scheduler is constructed *inside* the
-    executing process from its registered name, so stateful policies
-    always start fresh and no policy object ever crosses a process
-    boundary.  The telemetry config is a frozen value object, so it
+    Runs in the serial path and in pool workers alike.  Each
+    scheduler is constructed *inside* the executing process from its
+    registered name, so stateful policies always start fresh and no
+    policy object ever crosses a process boundary.  The telemetry config is a frozen value object, so it
     crosses the fork boundary by construction; each point writes its
     own ``point-<key>`` log and manifest, named by the configuration
     key so artifacts from different points can never collide.
@@ -315,32 +324,22 @@ def _run_points(
     return outcomes
 
 
-def _run_point(
-    topology: ServerTopology,
-    params: SimulationParameters,
-    point: SweepPoint,
-    audit: bool,
-    audit_interval: int,
-    fault_schedule=None,
-    telemetry=None,
-    profile: bool = False,
-    point_key: Optional[str] = None,
-) -> SimulationResult:
-    """Execute one sweep point in a pool worker (a batch of one)."""
-    (outcome,) = _run_points(
-        topology,
-        params,
-        [point],
-        audit,
-        audit_interval,
-        fault_schedule,
-        telemetry=telemetry,
-        profile=profile,
-        point_keys=[point_key],
-    )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _chunks(indices: Sequence[int], workers: int) -> List[List[int]]:
+    """Split point indices into lockstep chunks, keeping point order.
+
+    At least one chunk per worker, at most :data:`LOCKSTEP_CHUNK`
+    points per chunk, sizes differing by at most one.
+    """
+    if not indices:
+        return []
+    count = max(min(workers, len(indices)), -(-len(indices) // LOCKSTEP_CHUNK))
+    size, extra = divmod(len(indices), count)
+    chunks, start = [], 0
+    for c in range(count):
+        end = start + size + (c < extra)
+        chunks.append(list(indices[start:end]))
+        start = end
+    return chunks
 
 
 def _fork_available() -> bool:
@@ -376,6 +375,7 @@ def execute_sweep(
             results are independent of execution order).
         points: The (scheduler name, benchmark set, load) grid.
         max_workers: Process count; ``1`` forces the serial path.
+            The pool gets at least one lockstep chunk per worker.
         audit: Run each point under a fresh
             :class:`~repro.sim.invariants.InvariantAuditor`.
         audit_interval: Audit cadence in engine steps.
@@ -385,8 +385,9 @@ def execute_sweep(
             FaultSchedule` replayed in every point (the schedule also
             joins the cache/checkpoint key).
         timeout_s: Optional per-point wall-clock bound in the pool
-            path; a point that exceeds it counts as a failed attempt
-            and is never retried serially (a hung simulation would hang
+            path (a chunk of k points gets k times it); the points of
+            a chunk that exceeds it count a failed attempt each and
+            are never retried serially (a hung simulation would hang
             the parent too).
         max_retries: Pool rounds re-attempted after worker crashes or
             timeouts before falling back to serial execution of the
@@ -397,8 +398,9 @@ def execute_sweep(
             rounds.
         checkpoint: Optional :class:`~repro.sim.checkpoint.
             SweepCheckpoint`; finished points load from it up front and
-            every newly computed point persists to it *immediately*, so
-            a sweep killed mid-flight resumes bit-identically.  Every
+            every newly computed point persists to it as soon as its
+            lockstep chunk ends, before the next chunk starts, so a
+            sweep killed mid-flight resumes bit-identically.  Every
             persisted point gets a ``.manifest.json`` provenance
             sidecar recording the full recipe and result fingerprint.
         telemetry: Optional :class:`~repro.obs.session.TelemetryConfig`
@@ -420,9 +422,9 @@ def execute_sweep(
         SimulationError: propagated from any point (including
             :class:`~repro.sim.invariants.InvariantViolation` raised
             inside a worker process), or raised for points that
-            exhausted their timeout attempts.  The serial path records
-            every point that finished before the first failure in
-            point order propagates.
+            exhausted their timeout attempts.  Every point of a chunk
+            that finished is recorded before the chunk's first failure
+            in point order propagates; later chunks do not run.
     """
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
@@ -526,52 +528,48 @@ def execute_sweep(
                 load=float(load),
             )
 
+    def settle(chunk: Sequence[int], outcomes: list) -> None:
+        # Every finished point of the chunk is kept (cache, checkpoint)
+        # before its first failure in point order propagates, so a
+        # resumed sweep re-runs no finished point.
+        failures = []
+        for i, outcome in zip(chunk, outcomes):
+            if isinstance(outcome, Exception):
+                failures.append(outcome)
+            else:
+                record(i, outcome)
+        if failures:
+            raise failures[0]
+
+    def chunk_args(chunk: Sequence[int]) -> tuple:
+        return (
+            topology,
+            params,
+            [points[i] for i in chunk],
+            audit,
+            audit_interval,
+            fault_schedule,
+            telemetry,
+            profile,
+            [keys[i] for i in chunk],
+        )
+
     try:
-        if pending:
-            workers = min(int(max_workers), len(pending))
-            serial = list(pending)
-            if workers > 1 and _fork_available():
-                serial = _run_pool(
-                    topology,
-                    params,
-                    points,
-                    pending,
-                    workers,
-                    audit,
-                    audit_interval,
-                    fault_schedule,
-                    timeout_s,
-                    max_retries,
-                    retry_backoff_s,
-                    record,
-                    telemetry=telemetry,
-                    profile=profile,
-                    keys=keys,
-                    session=session,
-                )
-            if serial:
-                outcomes = _run_points(
-                    topology,
-                    params,
-                    [points[i] for i in serial],
-                    audit,
-                    audit_interval,
-                    fault_schedule,
-                    telemetry=telemetry,
-                    profile=profile,
-                    point_keys=[keys[i] for i in serial],
-                )
-                # Every finished point is kept (cache, checkpoint)
-                # before the first failure in point order propagates,
-                # so a resumed sweep re-runs only the failed points.
-                failures = []
-                for i, outcome in zip(serial, outcomes):
-                    if isinstance(outcome, Exception):
-                        failures.append(outcome)
-                    else:
-                        record(i, outcome)
-                if failures:
-                    raise failures[0]
+        serial = list(pending)
+        workers = min(int(max_workers), len(pending))
+        if workers > 1 and _fork_available():
+            serial = _run_pool(
+                serial,
+                workers,
+                chunk_args,
+                settle,
+                timeout_s,
+                max_retries,
+                retry_backoff_s,
+                session=session,
+            )
+        for chunk in _chunks(serial, 1):
+            settle(chunk, _run_points(*chunk_args(chunk)))
         if session is not None:
             session.emit("sweep_end", n_points=len(points))
     finally:
@@ -581,34 +579,30 @@ def execute_sweep(
 
 
 def _run_pool(
-    topology: ServerTopology,
-    params: SimulationParameters,
-    points: Sequence[SweepPoint],
     pending: Sequence[int],
     workers: int,
-    audit: bool,
-    audit_interval: int,
-    fault_schedule,
+    chunk_args: Callable[[Sequence[int]], tuple],
+    settle: Callable[[Sequence[int], list], None],
     timeout_s: Optional[float],
     max_retries: int,
     retry_backoff_s: float,
-    record: Callable[[int, SimulationResult], None],
-    telemetry=None,
-    profile: bool = False,
-    keys: Optional[Sequence[Optional[str]]] = None,
     session=None,
 ) -> List[int]:
-    """Fan points out over a fork-based process pool, with recovery.
+    """Fan lockstep chunks out over a fork-based process pool.
 
-    Runs up to ``1 + max_retries`` pool rounds.  Each round submits
-    every still-unfinished point; successes are recorded immediately
-    (checkpoint durability), deterministic :class:`ReproError` failures
-    propagate, and crash-type failures (broken pool, timeout, pickling
-    trouble) leave the point for the next round.  Returns the indices
-    still unfinished after the last round, for the caller's serial
-    fallback — except points that *timed out*, which raise instead:
-    a simulation that outlived its budget in a worker would also hang
-    the parent process.
+    Runs up to ``1 + max_retries`` pool rounds.  Each round splits the
+    still-unfinished points into chunks (:func:`_chunks`) and each
+    worker runs :func:`_run_points` on one chunk at a time.  A chunk's
+    outcomes go to ``settle`` as soon as it is collected: its finished
+    points are recorded (checkpoint durability) and its first
+    deterministic failure propagates.  Crash-type failures (broken
+    pool, timeout, pickling trouble) leave the chunk's points for the
+    next round.  ``timeout_s`` is a per-point budget, so a chunk of k
+    points may take k times it.  Returns the indices still unfinished
+    after the last round, for the caller's serial fallback — except
+    points whose chunk *timed out*, which raise instead: a simulation
+    that outlived its budget in a worker would also hang the parent
+    process.
     """
     context = multiprocessing.get_context("fork")
     remaining: List[int] = list(pending)
@@ -625,9 +619,10 @@ def _run_pool(
                 )
             if retry_backoff_s > 0:
                 time.sleep(retry_backoff_s * 2 ** (round_no - 1))
+        chunks = _chunks(remaining, workers)
         try:
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(remaining)),
+                max_workers=min(workers, len(chunks)),
                 mp_context=context,
             )
         except (OSError, PermissionError):
@@ -635,21 +630,10 @@ def _run_pool(
         hung = False
         try:
             try:
-                futures = {
-                    i: pool.submit(
-                        _run_point,
-                        topology,
-                        params,
-                        points[i],
-                        audit,
-                        audit_interval,
-                        fault_schedule,
-                        telemetry,
-                        profile,
-                        keys[i] if keys is not None else None,
-                    )
-                    for i in remaining
-                }
+                futures = [
+                    pool.submit(_run_points, *chunk_args(chunk))
+                    for chunk in chunks
+                ]
             except ReproError:
                 raise  # deterministic: a retry cannot change it
             except Exception:
@@ -661,39 +645,40 @@ def _run_pool(
                 # machinery entirely.
                 continue
             still: List[int] = []
-            order = iter(list(remaining))
-            for i in order:
+            order = iter(zip(chunks, futures))
+            for chunk, future in order:
+                budget = None if timeout_s is None else timeout_s * len(chunk)
                 try:
-                    result = futures[i].result(timeout=timeout_s)
+                    outcomes = future.result(timeout=budget)
                 except ReproError:
                     raise  # deterministic: a retry cannot change it
                 except FutureTimeoutError:
-                    timed_out[i] = timed_out.get(i, 0) + 1
                     hung = True
-                    still.append(i)
-                    if session is not None:
-                        session.emit(
-                            "pool_timeout",
-                            index=i,
-                            attempt=timed_out[i],
-                        )
+                    still.extend(chunk)
+                    for i in chunk:
+                        timed_out[i] = timed_out.get(i, 0) + 1
+                        if session is not None:
+                            session.emit(
+                                "pool_timeout",
+                                index=i,
+                                attempt=timed_out[i],
+                            )
                     # The pool is wedged on the hung worker.  Harvest
                     # whatever already finished, requeue the rest, and
                     # abandon the round.
-                    for j in order:
-                        done = futures[j]
+                    for other, done in order:
                         if done.done() and done.exception() is None:
-                            record(j, done.result())
+                            settle(other, done.result())
                         else:
-                            still.append(j)
+                            still.extend(other)
                     break
                 except Exception:
                     # Crash-type failure (broken pool, pickling, OS):
-                    # leave the point for the next round.
-                    still.append(i)
+                    # leave the chunk's points for the next round.
+                    still.extend(chunk)
                 else:
-                    record(i, result)
-            remaining = still
+                    settle(chunk, outcomes)
+            remaining = sorted(still)
         finally:
             if hung:
                 # Do not wait on the hung worker; kill the pool.

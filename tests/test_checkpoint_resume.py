@@ -22,7 +22,9 @@ from repro.sim import parallel
 from repro.sim.checkpoint import CHECKPOINT_SUFFIX, SweepCheckpoint
 from repro.sim.fingerprint import result_fingerprint
 from repro.sim.parallel import (
+    LOCKSTEP_CHUNK,
     SweepCache,
+    _chunks,
     _fork_available,
     config_key,
     execute_sweep,
@@ -36,6 +38,9 @@ POINTS = [
     ("CF", BenchmarkSet.COMPUTATION, 0.7),
     ("CP", BenchmarkSet.COMPUTATION, 0.7),
 ]
+
+#: The real chunk runner, kept before any test patches it.
+_REAL_RUN_POINTS = parallel._run_points
 
 needs_fork = pytest.mark.skipif(
     not _fork_available(), reason="platform cannot fork"
@@ -186,33 +191,37 @@ class TestCheckpointedSweep:
     ):
         """A sweep hard-killed after 2 points resumes from disk.
 
-        The victim process runs the real serial sweep with
-        checkpointing and SIGKILLs itself the moment two points are on
-        disk — no clean shutdown, no atexit.  The resumed sweep must
-        load exactly those two points and reproduce the uninterrupted
-        sweep bit-for-bit.
+        The victim process runs the real serial sweep in lockstep
+        chunks of two with checkpointing, and SIGKILLs itself as the
+        second chunk starts computing, once the first chunk's two
+        points are on disk — no clean shutdown, no atexit.  The resumed
+        sweep must load exactly those two points and reproduce the
+        uninterrupted sweep bit-for-bit.
         """
         script = """
 import os, signal
 from repro.config.presets import smoke
 from repro.server.topology import moonshot_sut
+from repro.sim import parallel
 from repro.sim.checkpoint import CHECKPOINT_SUFFIX, SweepCheckpoint
+from repro.sim.engine import Simulation
 from repro.sim.parallel import execute_sweep
 from repro.workloads.benchmark import BenchmarkSet
 
 directory = os.environ["CKPT_DIR"]
-real_save = SweepCheckpoint.save
+real_prepare = Simulation.prepare
 
-def killing_save(self, *args, **kwargs):
+def killing_prepare(self, jobs):
     done = sum(
         1 for name in os.listdir(directory)
         if name.endswith(CHECKPOINT_SUFFIX)
     ) if os.path.isdir(directory) else 0
     if done >= 2:
         os.kill(os.getpid(), signal.SIGKILL)
-    return real_save(self, *args, **kwargs)
+    return real_prepare(self, jobs)
 
-SweepCheckpoint.save = killing_save
+Simulation.prepare = killing_prepare
+parallel.LOCKSTEP_CHUNK = 2
 points = [
     ("CF", BenchmarkSet.COMPUTATION, 0.3),
     ("HF", BenchmarkSet.COMPUTATION, 0.3),
@@ -249,17 +258,20 @@ raise SystemExit("sweep was supposed to be killed")
         assert _fingerprints(resumed) == _fingerprints(fresh)
 
 
-class _FlakyRunPoint:
-    """Fork-inheritable stand-in for ``parallel._run_point``.
+class _FlakyRunPoints:
+    """Fork-inheritable stand-in for ``parallel._run_points``.
 
-    Misbehaves (once, or always) for one victim scheduler, then runs
-    the real point.  A marker file records attempts across processes.
+    Misbehaves (once, or always) for the chunk holding one victim
+    scheduler, then runs the real chunk.  A marker file records
+    attempts across processes.  It only kills worker processes, never
+    the process that built it.
     """
 
     def __init__(self, marker, victim, mode):
         self.marker = marker
         self.victim = victim
         self.mode = mode
+        self.parent = os.getpid()
 
     def _attempts(self):
         try:
@@ -268,45 +280,21 @@ class _FlakyRunPoint:
         except FileNotFoundError:
             return 0
 
-    def __call__(
-        self,
-        topology,
-        params,
-        point,
-        audit,
-        audit_interval,
-        fault_schedule=None,
-        telemetry=None,
-        profile=False,
-        point_key=None,
-    ):
-        from repro.core import get_scheduler
-        from repro.sim.runner import run_once
-
-        name, benchmark_set, load = point
-        if name == self.victim:
+    def __call__(self, topology, params, points, *args):
+        if any(name == self.victim for name, _, _ in points):
             first = self._attempts() == 0
             with open(self.marker, "a") as handle:
                 handle.write("x")
             if self.mode == "hang":
                 time.sleep(300)
             if first:
-                if self.mode == "kill":
+                if self.mode == "kill" and os.getpid() != self.parent:
                     os.kill(os.getpid(), signal.SIGKILL)
                 if self.mode == "raise":
                     raise RuntimeError("transient worker failure")
             if self.mode == "fatal":
                 raise SimulationError("deterministic failure")
-        return run_once(
-            topology,
-            params,
-            get_scheduler(name),
-            benchmark_set,
-            load,
-            fault_schedule=fault_schedule,
-            telemetry=telemetry,
-            profile=profile,
-        )
+        return _REAL_RUN_POINTS(topology, params, points, *args)
 
 
 @needs_fork
@@ -318,8 +306,8 @@ class TestPoolRecovery:
         )
 
     def _patched(self, monkeypatch, tmp_path, mode):
-        flaky = _FlakyRunPoint(str(tmp_path / "marker"), "HF", mode)
-        monkeypatch.setattr(parallel, "_run_point", flaky)
+        flaky = _FlakyRunPoints(str(tmp_path / "marker"), "HF", mode)
+        monkeypatch.setattr(parallel, "_run_points", flaky)
         return flaky
 
     def test_raise_once_point_retries_and_succeeds(
@@ -400,6 +388,23 @@ class TestPoolRecovery:
             checkpoint=checkpoint,
         )
         assert len(checkpoint) == len(POINTS)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("n", [1, 4, 12, 13, 150])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_partition_in_order(self, n, workers):
+        indices = list(range(100, 100 + n))
+        chunks = _chunks(indices, workers)
+        assert [i for chunk in chunks for i in chunk] == indices
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) <= LOCKSTEP_CHUNK
+        assert max(sizes) - min(sizes) <= 1
+        assert len(chunks) >= min(workers, n)
+        assert len(chunks) == max(min(workers, n), -(-n // LOCKSTEP_CHUNK))
+
+    def test_no_points_no_chunks(self):
+        assert _chunks([], 2) == []
 
 
 class TestValidation:
